@@ -141,42 +141,44 @@ Status BTree::PutRec(PageId page_id, std::string_view key, std::string_view valu
 // Get / Seek
 // ---------------------------------------------------------------------------
 
-Result<std::string> BTree::Get(std::string_view key) const {
-  Node node;
+Status BTree::FindLeaf(std::string_view key, storage::PageRef* ref,
+                       NodeView* view, PageId* leaf_id) const {
   PageId id = root_;
-  UPI_RETURN_NOT_OK(ReadNode(id, &node));
-  while (!node.is_leaf) {
-    id = node.children[node.ChildIndex(key)].child;
-    UPI_RETURN_NOT_OK(ReadNode(id, &node));
+  for (;;) {
+    *ref = pager_.Get(id);
+    UPI_RETURN_NOT_OK(NodeView::Open(*ref->data(), view));
+    if (view->is_leaf()) break;
+    if (view->count() == 0) return Status::Corruption("empty internal btree node");
+    id = view->ChildFor(key);
+    ref->Release();
   }
-  size_t idx = node.LowerBound(key);
-  if (idx < node.entries.size() && node.entries[idx].key == key) {
-    return node.entries[idx].value;
-  }
+  *leaf_id = id;
+  return Status::OK();
+}
+
+Result<std::string> BTree::Get(std::string_view key) const {
+  storage::PageRef ref;
+  NodeView view;
+  PageId id = kInvalidPage;
+  UPI_RETURN_NOT_OK(FindLeaf(key, &ref, &view, &id));
+  std::string_view value;
+  if (view.Find(key, &value)) return std::string(value);
   return Status::NotFound("key not in btree");
 }
 
 Cursor BTree::Seek(std::string_view key) const {
-  Node node;
-  PageId id = root_;
-  if (!ReadNode(id, &node).ok()) return Cursor();
-  while (!node.is_leaf) {
-    id = node.children[node.ChildIndex(key)].child;
-    if (!ReadNode(id, &node).ok()) return Cursor();
+  PageId id = kInvalidPage;
+  {
+    storage::PageRef ref;
+    NodeView view;
+    if (!FindLeaf(key, &ref, &view, &id).ok()) return Cursor();
   }
-  return Cursor(this, id, node.LowerBound(key));
+  return Cursor(this, id, key);
 }
 
-Cursor BTree::SeekToFirst() const {
-  Node node;
-  PageId id = root_;
-  if (!ReadNode(id, &node).ok()) return Cursor();
-  while (!node.is_leaf) {
-    id = node.children[0].child;
-    if (!ReadNode(id, &node).ok()) return Cursor();
-  }
-  return Cursor(this, id, 0);
-}
+// The empty key sorts first and no separator past a node's first is empty,
+// so this descends along the leftmost children.
+Cursor BTree::SeekToFirst() const { return Seek(std::string_view()); }
 
 // ---------------------------------------------------------------------------
 // Delete

@@ -27,16 +27,26 @@ namespace upi::btree {
 
 class BTree;
 
-/// \brief Forward iterator positioned on a leaf entry. Holds a private copy
-/// of the current leaf, so it stays safe if the pool evicts the page, but it
-/// must not be used across tree modifications.
+/// \brief Forward iterator positioned on a leaf entry.
+///
+/// The cursor holds a private byte copy of the current leaf (one page-sized
+/// memcpy per leaf, no per-entry decoding) and the offsets of the current key
+/// and value within it; key() and value() are views into that copy, valid
+/// until the next Next() or until the cursor is destroyed or assigned. It
+/// does not pin the page, so it stays safe if the pool evicts it, and it may
+/// be copied or moved mid-walk, but it must not be used across tree
+/// modifications.
 class Cursor {
  public:
   Cursor() = default;
 
   bool Valid() const { return valid_; }
-  std::string_view key() const { return leaf_.entries[idx_].key; }
-  std::string_view value() const { return leaf_.entries[idx_].value; }
+  std::string_view key() const {
+    return std::string_view(page_.data() + key_off_, key_len_);
+  }
+  std::string_view value() const {
+    return std::string_view(page_.data() + value_off_, value_len_);
+  }
   /// Advances to the next entry in key order (following the leaf chain).
   void Next();
 
@@ -50,15 +60,25 @@ class Cursor {
 
  private:
   friend class BTree;
-  Cursor(const BTree* tree, PageId leaf_id, size_t idx);
+  /// Positions on the first entry >= `key` of leaf `leaf_id`, or further
+  /// along the chain.
+  Cursor(const BTree* tree, PageId leaf_id, std::string_view key);
+  /// Copies leaf `id` into page_ and validates the copy; false on failure.
+  bool CopyLeaf(PageId id, NodeView* view);
   void LoadLeaf(PageId id);
+  /// Makes the entry at byte offset `offset` of page_ current.
+  void DecodeAt(uint32_t offset);
   void SkipForwardToValid();
   void MaybePrefetch();
 
   const BTree* tree_ = nullptr;
-  Node leaf_;
-  PageId leaf_id_ = kInvalidPage;
-  size_t idx_ = 0;
+  std::string page_;  // bytes of the current leaf
+  PageId right_sibling_ = kInvalidPage;
+  uint32_t remaining_ = 0;  // entries from the current one to the leaf's end
+  uint32_t key_off_ = 0;
+  uint32_t key_len_ = 0;
+  uint32_t value_off_ = 0;
+  uint32_t value_len_ = 0;
   bool valid_ = false;
   uint32_t readahead_ = 0;
   uint32_t prefetch_remaining_ = 0;
@@ -119,6 +139,12 @@ class BTree {
         num_leaf_pages_(leaves) {}
 
   Status ReadNode(PageId id, Node* out) const;
+  /// Descends from the root to the leaf covering `key`, searching each pinned
+  /// page in place. Every pin is released before the child is fetched, so
+  /// the pool sees the same Fetch/Unpin sequence as one ReadNode per level.
+  /// On success `ref` pins the leaf, `view` reads it and `leaf_id` names it.
+  Status FindLeaf(std::string_view key, storage::PageRef* ref, NodeView* view,
+                  PageId* leaf_id) const;
   void WriteNode(PageId id, const Node& node);
 
   Status PutRec(PageId page_id, std::string_view key, std::string_view value,

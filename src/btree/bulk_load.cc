@@ -57,7 +57,7 @@ Status BTreeBuilder::Add(std::string_view key, std::string_view value) {
     started_ = true;
   }
 
-  if (!leaf_.entries.empty() && leaf_.SerializedSize() + esize > fill_bytes_) {
+  if (!leaf_.entries.empty() && leaf_bytes_ + esize > fill_bytes_) {
     // Allocate the successor leaf first so the sibling link is known.
     storage::PageId next_leaf = pager_.file()->Allocate();
     leaf_.right_sibling = next_leaf;
@@ -66,11 +66,13 @@ Status BTreeBuilder::Add(std::string_view key, std::string_view value) {
     AddToLevel(1, leaf_first_key_, leaf_page_);
     leaf_ = Node{};
     leaf_.is_leaf = true;
+    leaf_bytes_ = kNodeHeaderSize;
     leaf_page_ = next_leaf;
   }
 
   if (leaf_.entries.empty()) leaf_first_key_.assign(key.data(), key.size());
   leaf_.entries.push_back(LeafEntry{std::string(key), std::string(value)});
+  leaf_bytes_ += esize;
   last_key_.assign(key.data(), key.size());
   ++count_;
   return Status::OK();
@@ -86,12 +88,13 @@ void BTreeBuilder::AddToLevel(size_t level, const std::string& first_key,
     Level& L = levels_[level];
     size_t esize =
         Node::ChildEntrySize(L.node.children.empty() ? std::string_view() : first_key);
-    if (!L.node.children.empty() && L.node.SerializedSize() + esize > fill_bytes_) {
+    if (!L.node.children.empty() && L.bytes + esize > fill_bytes_) {
       storage::PageId pid = AllocAndWrite(L.node);
       std::string fk = L.first_key;
       L.node = Node{};
       L.node.is_leaf = false;
       L.first_key.clear();
+      L.bytes = kNodeHeaderSize;
       AddToLevel(level + 1, fk, pid);  // may resize levels_
     }
   }
@@ -102,6 +105,7 @@ void BTreeBuilder::AddToLevel(size_t level, const std::string& first_key,
   } else {
     L.node.children.push_back(ChildEntry{first_key, child});
   }
+  L.bytes += Node::ChildEntrySize(L.node.children.back().key);
 }
 
 Result<BTree> BTreeBuilder::Finish() {

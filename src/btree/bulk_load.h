@@ -33,6 +33,7 @@ class BTreeBuilder {
   struct Level {
     Node node;              // internal node under construction
     std::string first_key;  // smallest key under this node
+    size_t bytes = kNodeHeaderSize;  // node.SerializedSize(), kept running
   };
   struct PendingPage {
     storage::PageId id;
@@ -56,6 +57,7 @@ class BTreeBuilder {
   std::string last_key_;
 
   Node leaf_;
+  size_t leaf_bytes_ = kNodeHeaderSize;  // leaf_.SerializedSize(), kept running
   std::string leaf_first_key_;
   storage::PageId leaf_page_ = storage::kInvalidPage;
   std::vector<Level> levels_;  // index 0 unused (leaf level handled above)

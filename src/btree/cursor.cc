@@ -2,14 +2,25 @@
 
 namespace upi::btree {
 
-Cursor::Cursor(const BTree* tree, PageId leaf_id, size_t idx)
-    : tree_(tree), leaf_id_(leaf_id), idx_(idx) {
-  if (!tree_->ReadNode(leaf_id_, &leaf_).ok()) {
-    valid_ = false;
-    return;
-  }
+Cursor::Cursor(const BTree* tree, PageId leaf_id, std::string_view key)
+    : tree_(tree) {
+  NodeView view;
+  if (!CopyLeaf(leaf_id, &view)) return;
+  NodeView::Pos pos = view.LowerBound(key);
+  remaining_ = view.count() - pos.index;
+  if (remaining_ > 0) DecodeAt(pos.offset);
   valid_ = true;
   SkipForwardToValid();
+}
+
+bool Cursor::CopyLeaf(PageId id, NodeView* view) {
+  {
+    storage::PageRef ref = tree_->pager_.Get(id);
+    page_.assign(*ref.data());
+  }
+  if (!NodeView::Open(page_, view).ok()) return false;
+  right_sibling_ = view->right_sibling();
+  return true;
 }
 
 void Cursor::MaybePrefetch() {
@@ -20,38 +31,52 @@ void Cursor::MaybePrefetch() {
   }
   // Fetch the next readahead_ leaves of the chain in one burst; they are
   // then pool hits when the merge actually reaches them.
-  Node n = leaf_;
-  for (uint32_t i = 0; i < readahead_; ++i) {
-    PageId next = n.right_sibling;
-    if (next == kInvalidPage) break;
-    if (!tree_->ReadNode(next, &n).ok()) break;
+  PageId next = right_sibling_;
+  for (uint32_t i = 0; i < readahead_ && next != kInvalidPage; ++i) {
+    storage::PageRef ref = tree_->pager_.Get(next);
+    NodeView view;
+    if (!NodeView::Open(*ref.data(), &view).ok()) break;
+    next = view.right_sibling();
   }
   prefetch_remaining_ = readahead_;
 }
 
 void Cursor::LoadLeaf(PageId id) {
-  leaf_id_ = id;
-  if (id == kInvalidPage || !tree_->ReadNode(id, &leaf_).ok()) {
+  NodeView view;
+  if (id == kInvalidPage || !CopyLeaf(id, &view)) {
     valid_ = false;
     return;
   }
-  idx_ = 0;
+  remaining_ = view.count();
+  if (remaining_ > 0) DecodeAt(static_cast<uint32_t>(kNodeHeaderSize));
   MaybePrefetch();
 }
 
+void Cursor::DecodeAt(uint32_t offset) {
+  std::string_view key, value;
+  NodeView::DecodeLeafEntry(page_, offset, &key, &value);
+  key_off_ = static_cast<uint32_t>(key.data() - page_.data());
+  key_len_ = static_cast<uint32_t>(key.size());
+  value_off_ = static_cast<uint32_t>(value.data() - page_.data());
+  value_len_ = static_cast<uint32_t>(value.size());
+}
+
 void Cursor::SkipForwardToValid() {
-  while (valid_ && idx_ >= leaf_.entries.size()) {
-    if (leaf_.right_sibling == kInvalidPage) {
+  while (valid_ && remaining_ == 0) {
+    if (right_sibling_ == kInvalidPage) {
       valid_ = false;
       return;
     }
-    LoadLeaf(leaf_.right_sibling);
+    LoadLeaf(right_sibling_);
   }
 }
 
 void Cursor::Next() {
   if (!valid_) return;
-  ++idx_;
+  if (--remaining_ > 0) {
+    DecodeAt(value_off_ + value_len_);
+    return;
+  }
   SkipForwardToValid();
 }
 

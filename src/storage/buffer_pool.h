@@ -121,14 +121,20 @@ class BufferPool {
   }
 
  private:
+  // Equality is on the file's address; the hash uses the file's name hash,
+  // fixed when the PageFile is built, so the shard a page lands in (and with
+  // it every eviction choice) repeats exactly from run to run.
   struct Key {
-    PageFile* file;
-    PageId id;
+    Key() = default;
+    Key(PageFile* f, PageId i) : file(f), id(i), file_hash(f->name_hash()) {}
+    PageFile* file = nullptr;
+    PageId id = kInvalidPage;
+    size_t file_hash = 0;
     bool operator==(const Key& o) const { return file == o.file && id == o.id; }
   };
   struct KeyHash {
     size_t operator()(const Key& k) const {
-      return std::hash<void*>()(k.file) * 1000003u ^ k.id;
+      return k.file_hash * 1000003u ^ k.id;
     }
   };
 

@@ -5,7 +5,10 @@
 namespace upi::storage {
 
 PageFile::PageFile(sim::SimDisk* disk, std::string name, uint32_t page_size)
-    : disk_(disk), name_(std::move(name)), page_size_(page_size) {
+    : disk_(disk),
+      name_(std::move(name)),
+      name_hash_(std::hash<std::string>()(name_)),
+      page_size_(page_size) {
   UPI_CHECK(page_size_ >= 512, "page size below device sector size");
 }
 

@@ -75,6 +75,9 @@ class PageFile {
     return pages_.size() * uint64_t{page_size_};
   }
   const std::string& name() const { return name_; }
+  /// Hash of name(), computed once: the buffer pool shards on it instead of
+  /// this object's address, which changes from run to run.
+  size_t name_hash() const { return name_hash_; }
   sim::SimDisk* disk() const { return disk_; }
 
   /// Physical device address of a page (for tests asserting layout).
@@ -91,6 +94,7 @@ class PageFile {
 
   sim::SimDisk* disk_;
   std::string name_;
+  const size_t name_hash_;
   const uint32_t page_size_;
   mutable sync::Mutex mu_{
       sync::LockRank::kPageFile};  // guards pages_, data_, free_list_
