@@ -54,9 +54,8 @@ int main(int argc, char** argv) {
                 pii.sim_ms / 1000.0, upic.sim_ms / 1000.0,
                 pii.sim_ms / upic.sim_ms, upic.rows, upic.wall_ms);
   }
-  // Per-side device totals via the engine's snapshot API (the deprecated
-  // DiskStats::ToString replacement); opt-in so default rows stay
-  // bit-identical.
+  // Per-side device totals via the engine's snapshot API; opt-in so default
+  // rows stay bit-identical.
   if (flags::GetBool("metrics", false)) {
     for (const auto& [label, dbp] :
          {std::pair<const char*, engine::Database*>{"pii", &pii_db},

@@ -2,8 +2,9 @@
 // Cartel-like datasets, the cold-query protocol, and table printing.
 //
 // "Runtime" in every bench is the *simulated* disk time (the quantity the
-// paper measured on its 10k-RPM drive; see DESIGN.md for the substitution
-// rationale); wall-clock CPU time is printed alongside. All benches accept:
+// paper measured on its 10k-RPM drive, simulated so the seek-vs-sequential
+// economics are deterministic and hardware-independent; see README.md);
+// wall-clock CPU time is printed alongside. All benches accept:
 //   --scale=<f>   dataset scale (1.0 = 100k authors / 200k pubs / 200k obs;
 //                 ~7 approximates the paper's sizes)
 //   --seed=<n>    generator seed

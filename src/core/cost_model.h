@@ -7,11 +7,11 @@
 // The ceiling is Costscan, exactly as the paper observes: a saturated sorted
 // pointer sweep degenerates to (nearly) a full table scan, and measurements
 // on the simulated disk confirm it (short seeks over small gaps plus heavy
-// leaf sharing make the sweep approach sequential cost; see EXPERIMENTS.md).
+// leaf sharing make the sweep approach sequential cost).
 //
-// One calibration adaptation, documented in DESIGN.md: the paper sets k by
-// the heuristic f(0.05 * Nleaf) = 0.99 * Costscan, "based on experimental
-// evidence gathered through our experience" with their drive. On our device
+// One calibration adaptation: the paper sets k by the heuristic
+// f(0.05 * Nleaf) = 0.99 * Costscan, "based on experimental evidence
+// gathered through our experience" with their drive. On our device
 // the measured-fit calibration anchors the sigmoid's initial slope to the
 // cost of one isolated pointer dereference instead:
 //   f'(0) = Ceiling * k / 2 = min_seek + one-page read   =>

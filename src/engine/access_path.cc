@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "exec/ptq.h"
+
 namespace upi::engine {
 
 namespace {
@@ -13,11 +15,13 @@ double AvgEntryBytes(uint64_t table_bytes, uint64_t entries) {
                             static_cast<double>(entries);
 }
 
-/// ResultCursor over a core::UpiPtqCursor (streaming Algorithm 2).
-class UpiStreamCursor : public ResultCursor {
+/// ResultCursor over a core algorithm cursor: core::UpiPtqCursor (streaming
+/// Algorithm 2) or core::FracturedPtqCursor (the pruned fan-out, executed
+/// lazily; holds the table's shared lock for the cursor's lifetime).
+template <typename CoreCursor>
+class CoreStreamCursor : public ResultCursor {
  public:
-  explicit UpiStreamCursor(core::UpiPtqCursor cursor)
-      : cursor_(std::move(cursor)) {}
+  explicit CoreStreamCursor(CoreCursor cursor) : cursor_(std::move(cursor)) {}
 
  private:
   bool Produce(core::PtqMatch* out) override {
@@ -26,32 +30,18 @@ class UpiStreamCursor : public ResultCursor {
     return false;
   }
 
-  core::UpiPtqCursor cursor_;
+  CoreCursor cursor_;
 };
 
-/// ResultCursor over a core::FracturedPtqCursor: the pruned fan-out executed
-/// lazily. Holds the table's shared lock for the cursor's lifetime.
-class FracturedStreamCursor : public ResultCursor {
- public:
-  explicit FracturedStreamCursor(core::FracturedPtqCursor cursor)
-      : cursor_(std::move(cursor)) {}
+template <typename CoreCursor>
+std::unique_ptr<ResultCursor> StreamOf(CoreCursor cursor) {
+  return std::make_unique<CoreStreamCursor<CoreCursor>>(std::move(cursor));
+}
 
- private:
-  bool Produce(core::PtqMatch* out) override {
-    if (cursor_.Next(out)) return true;
-    status_ = cursor_.status();
-    return false;
-  }
-
-  core::FracturedPtqCursor cursor_;
-};
-
-/// ResultCursor over the PII baseline's probe: the inverted-list entries are
-/// collected up front (one index scan, as QueryPii does), but each tuple's
-/// random heap seek happens only when the consumer pulls its row. A failed
-/// collection is carried as the cursor's status (the open already charged
-/// simulated I/O — falling back to a second materialized scan would double
-/// the query's cost).
+/// ResultCursor over a PII probe: the inverted-list entries are collected up
+/// front (one index scan, as QueryPii does), but each tuple's random heap
+/// seek happens only when the consumer pulls its row. A failed collection is
+/// carried as the cursor's status.
 class PiiStreamCursor : public ResultCursor {
  public:
   PiiStreamCursor(const baseline::UnclusteredTable* table,
@@ -83,18 +73,26 @@ class PiiStreamCursor : public ResultCursor {
 // AccessPath defaults
 // ---------------------------------------------------------------------------
 
-Status AccessPath::QueryTopK(std::string_view, size_t,
-                             std::vector<core::PtqMatch>*) const {
-  return Status::NotSupported(name() + ": no direct top-k cursor");
+std::unique_ptr<ResultCursor> AccessPath::OpenPtqStream(std::string_view,
+                                                        double) const {
+  return RowsCursor::Failed(
+      Status::NotSupported(name() + ": no primary-attribute probe"));
 }
 
-Status AccessPath::QuerySecondary(int, std::string_view, double,
-                                  core::SecondaryAccessMode,
-                                  std::vector<core::PtqMatch>*) const {
-  return Status::NotSupported(name() + ": no secondary index");
+std::unique_ptr<ResultCursor> AccessPath::OpenTopKStream(
+    std::string_view) const {
+  return RowsCursor::Failed(
+      Status::NotSupported(name() + ": no direct top-k cursor"));
+}
+
+std::unique_ptr<ResultCursor> AccessPath::OpenSecondaryStream(
+    int, std::string_view, double, core::SecondaryAccessMode) const {
+  return RowsCursor::Failed(
+      Status::NotSupported(name() + ": no secondary index"));
 }
 
 Status AccessPath::ScanTuples(
+    int, std::string_view, double,
     const std::function<void(const catalog::Tuple&)>&) const {
   return Status::NotSupported(name() + ": no sequential scan");
 }
@@ -102,6 +100,19 @@ Status AccessPath::ScanTuples(
 Status AccessPath::QueryRange(prob::Point, double, double,
                               std::vector<core::PtqMatch>*) const {
   return Status::NotSupported(name() + ": no spatial range query");
+}
+
+Status AccessPath::Drain(std::unique_ptr<ResultCursor> cursor, size_t limit,
+                         std::vector<core::PtqMatch>* out) {
+  cursor->SetLimit(limit);
+  std::vector<core::PtqMatch> rows;
+  core::PtqMatch m;
+  while (cursor->TakeNext(&m)) rows.push_back(std::move(m));
+  UPI_RETURN_NOT_OK(cursor->status());
+  exec::SortByConfidenceDesc(&rows);
+  out->insert(out->end(), std::make_move_iterator(rows.begin()),
+              std::make_move_iterator(rows.end()));
+  return Status::OK();
 }
 
 core::PruneEstimate AccessPath::EstimatePrune(int, std::string_view,
@@ -138,25 +149,11 @@ PathStats UpiAccessPath::Stats() const {
   return s;
 }
 
-Status UpiAccessPath::QueryPtq(std::string_view value, double qt,
-                               std::vector<core::PtqMatch>* out) const {
-  return upi_->QueryPtq(value, qt, out);
-}
-
-Status UpiAccessPath::QueryTopK(std::string_view value, size_t k,
-                                std::vector<core::PtqMatch>* out) const {
-  return upi_->QueryTopK(value, k, out);
-}
-
-Status UpiAccessPath::QuerySecondary(int column, std::string_view value,
-                                     double qt, core::SecondaryAccessMode mode,
-                                     std::vector<core::PtqMatch>* out) const {
-  return upi_->QueryBySecondary(column, value, qt, mode, out);
-}
-
 Status UpiAccessPath::ScanTuples(
+    int, std::string_view, double,
     const std::function<void(const catalog::Tuple&)>& fn) const {
-  // Same open protocol as QueryPtq (and as ScanMs prices it).
+  // No pruning metadata: every sweep reads the whole heap. Same open
+  // protocol as the PTQ (and as ScanMs prices it).
   if (upi_->options().charge_open_per_query) {
     upi_->heap_tree()->pager()->file()->ChargeOpen();
   }
@@ -185,12 +182,23 @@ Status UpiAccessPath::ScanTuples(
 
 std::unique_ptr<ResultCursor> UpiAccessPath::OpenPtqStream(
     std::string_view value, double qt) const {
-  return std::make_unique<UpiStreamCursor>(upi_->OpenPtqCursor(value, qt));
+  return StreamOf(upi_->OpenPtqCursor(value, qt));
 }
 
 std::unique_ptr<ResultCursor> UpiAccessPath::OpenTopKStream(
     std::string_view value) const {
-  return std::make_unique<UpiStreamCursor>(upi_->OpenTopKCursor(value));
+  return StreamOf(upi_->OpenTopKCursor(value));
+}
+
+std::unique_ptr<ResultCursor> UpiAccessPath::OpenSecondaryStream(
+    int column, std::string_view value, double qt,
+    core::SecondaryAccessMode mode) const {
+  return std::make_unique<RowsCursor>(
+      [upi = upi_, column, value = std::string(value), qt, mode](
+          size_t, std::vector<core::PtqMatch>* out) {
+        return upi->QueryBySecondary(column, value, qt, mode, out);
+      },
+      /*k_bounded=*/false);
 }
 
 bool UpiAccessPath::HasSecondary(int column) const {
@@ -267,37 +275,36 @@ PathStats FracturedAccessPath::Stats() const {
   return s;
 }
 
-Status FracturedAccessPath::QueryPtq(std::string_view value, double qt,
-                                     std::vector<core::PtqMatch>* out) const {
-  return table_->QueryPtq(value, qt, out);
+std::unique_ptr<ResultCursor> FracturedAccessPath::OpenPtqStream(
+    std::string_view value, double qt) const {
+  return StreamOf(table_->OpenPtqCursor(value, qt));
 }
 
-Status FracturedAccessPath::QueryTopK(std::string_view value, size_t k,
-                                      std::vector<core::PtqMatch>* out) const {
-  return table_->QueryTopK(value, k, out);
+std::unique_ptr<ResultCursor> FracturedAccessPath::OpenTopKStream(
+    std::string_view value) const {
+  return std::make_unique<RowsCursor>(
+      [table = table_, value = std::string(value)](
+          size_t k, std::vector<core::PtqMatch>* out) {
+        return table->QueryTopK(value, k, out);
+      },
+      /*k_bounded=*/true);
 }
 
-Status FracturedAccessPath::QuerySecondary(
+std::unique_ptr<ResultCursor> FracturedAccessPath::OpenSecondaryStream(
     int column, std::string_view value, double qt,
-    core::SecondaryAccessMode mode, std::vector<core::PtqMatch>* out) const {
-  return table_->QueryBySecondary(column, value, qt, mode, out);
+    core::SecondaryAccessMode mode) const {
+  return std::make_unique<RowsCursor>(
+      [table = table_, column, value = std::string(value), qt, mode](
+          size_t, std::vector<core::PtqMatch>* out) {
+        return table->QueryBySecondary(column, value, qt, mode, out);
+      },
+      /*k_bounded=*/false);
 }
 
 Status FracturedAccessPath::ScanTuples(
-    const std::function<void(const catalog::Tuple&)>& fn) const {
-  return table_->ScanTuples(fn);
-}
-
-Status FracturedAccessPath::ScanTuplesMatching(
     int column, std::string_view value, double qt,
     const std::function<void(const catalog::Tuple&)>& fn) const {
   return table_->ScanTuplesMatching(column, value, qt, fn);
-}
-
-std::unique_ptr<ResultCursor> FracturedAccessPath::OpenPtqStream(
-    std::string_view value, double qt) const {
-  return std::make_unique<FracturedStreamCursor>(
-      table_->OpenPtqCursor(value, qt));
 }
 
 bool FracturedAccessPath::HasSecondary(int column) const {
@@ -414,24 +421,8 @@ PathStats UnclusteredAccessPath::Stats() const {
   return s;
 }
 
-Status UnclusteredAccessPath::QueryPtq(std::string_view value, double qt,
-                                       std::vector<core::PtqMatch>* out) const {
-  return table_->QueryPii(primary_column_, value, qt, out);
-}
-
-Status UnclusteredAccessPath::QueryTopK(std::string_view value, size_t k,
-                                        std::vector<core::PtqMatch>* out) const {
-  return table_->QueryTopK(primary_column_, value, k, out);
-}
-
-Status UnclusteredAccessPath::QuerySecondary(
-    int column, std::string_view value, double qt, core::SecondaryAccessMode,
-    std::vector<core::PtqMatch>* out) const {
-  // PII entries carry a single RID — there is nothing to tailor.
-  return table_->QueryPii(column, value, qt, out);
-}
-
 Status UnclusteredAccessPath::ScanTuples(
+    int, std::string_view, double,
     const std::function<void(const catalog::Tuple&)>& fn) const {
   // Same open protocol as QueryPii (and as ScanMs prices it).
   if (table_->charge_open_per_query) {
@@ -453,11 +444,27 @@ Status UnclusteredAccessPath::ScanTuples(
 
 std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenPtqStream(
     std::string_view value, double qt) const {
-  if (table_->pii(primary_column_) == nullptr) {
-    return nullptr;  // no PII index: cannot stream, let callers materialize
-  }
+  // PTQs are secondary probes on the primary column's PII index.
+  return OpenSecondaryStream(primary_column_, value, qt,
+                             core::SecondaryAccessMode::kFirstPointer);
+}
+
+std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenTopKStream(
+    std::string_view value) const {
+  return std::make_unique<RowsCursor>(
+      [table = table_, column = primary_column_, value = std::string(value)](
+          size_t k, std::vector<core::PtqMatch>* out) {
+        return table->QueryTopK(column, value, k, out);
+      },
+      /*k_bounded=*/true);
+}
+
+std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenSecondaryStream(
+    int column, std::string_view value, double qt,
+    core::SecondaryAccessMode) const {
+  // PII entries carry a single RID — there is nothing to tailor.
   std::vector<baseline::PiiIndex::Entry> entries;
-  Status st = table_->CollectPiiMatches(primary_column_, value, qt, &entries);
+  Status st = table_->CollectPiiMatches(column, value, qt, &entries);
   return std::make_unique<PiiStreamCursor>(table_, std::move(entries),
                                            std::move(st));
 }
@@ -512,11 +519,6 @@ PathStats UtreeAccessPath::Stats() const {
   s.charges_open_per_query = utree_->charge_open_per_query;
   s.clustered = false;
   return s;
-}
-
-Status UtreeAccessPath::QueryPtq(std::string_view, double,
-                                 std::vector<core::PtqMatch>*) const {
-  return Status::NotSupported("secondary-utree answers only range queries");
 }
 
 Status UtreeAccessPath::QueryRange(prob::Point center, double radius, double qt,

@@ -64,44 +64,64 @@ class AccessPath {
   virtual const catalog::Schema& schema() const = 0;
   virtual PathStats Stats() const = 0;
 
-  // --- Physical operators (charge simulated I/O) ---------------------------
+  // --- Probes (charge simulated I/O) ---------------------------------------
+  //
+  // Every probe returns a ResultCursor, never nullptr. A path that lacks a
+  // probe returns a cursor whose status() is NotSupported. Cursors may work
+  // lazily (the UPI heap phase, PII heap fetches, the partitioned k-way
+  // merge) or compute their rows in one call at the first pull (fan-out
+  // secondary probes, top-k without a stream of its own); consumers cannot
+  // tell the two apart.
 
-  /// PTQ on the path's primary uncertain attribute.
-  virtual Status QueryPtq(std::string_view value, double qt,
-                          std::vector<core::PtqMatch>* out) const = 0;
+  /// PTQ on the path's primary uncertain attribute. Deferred phases (e.g.
+  /// cutoff-pointer fetches) run only if the consumer drains that far.
+  virtual std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
+                                                      double qt) const;
 
-  /// Direct top-k (early-terminating cursor). NotSupported unless
+  /// Direct top-k: the probability-descending row stream, bounded by the
+  /// consumer's limit (set it to k before the first pull; paths that need k
+  /// up front read it from there). NotSupported unless
   /// Stats().supports_direct_topk.
-  virtual Status QueryTopK(std::string_view value, size_t k,
-                           std::vector<core::PtqMatch>* out) const;
+  virtual std::unique_ptr<ResultCursor> OpenTopKStream(
+      std::string_view value) const;
 
   /// Probe through a secondary index on `column`. Paths without pointer
   /// tailoring ignore `mode`.
-  virtual Status QuerySecondary(int column, std::string_view value, double qt,
-                                core::SecondaryAccessMode mode,
-                                std::vector<core::PtqMatch>* out) const;
+  virtual std::unique_ptr<ResultCursor> OpenSecondaryStream(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const;
 
   /// Full sequential sweep; `fn` is called exactly once per live tuple (heap
-  /// duplicates are deduplicated here). NotSupported unless
-  /// Stats().supports_scan.
+  /// duplicates are deduplicated here). A sweep serving a scan-filter passes
+  /// its (column, value, qt) so paths with pruning metadata (per-fracture
+  /// and per-shard summaries) skip storage units that provably cannot
+  /// contain a qualifying alternative; column < 0 means the primary
+  /// attribute. qt < 0 sweeps every tuple: nothing is pruned and no fan-out
+  /// counter moves. NotSupported unless Stats().supports_scan.
   virtual Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const;
-
-  /// Sweep in service of a scan-filter on (column, value, qt): same
-  /// semantics over every tuple that could match, but paths with pruning
-  /// metadata (the Fractured UPI's per-fracture summaries) skip storage
-  /// units that provably cannot contain a qualifying alternative. Defaults
-  /// to the plain ScanTuples. column < 0 means the primary attribute.
-  virtual Status ScanTuplesMatching(
       int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const {
-    (void)column, (void)value, (void)qt;
-    return ScanTuples(fn);
-  }
+      const std::function<void(const catalog::Tuple&)>& fn) const;
 
   /// Probabilistic spatial range query (continuous paths only).
   virtual Status QueryRange(prob::Point center, double radius, double qt,
                             std::vector<core::PtqMatch>* out) const;
+
+  // --- Materialized probes: the cursors above drained into `out` (appended),
+  // sorted by descending confidence (ties by TupleId). ------------------------
+
+  Status QueryPtq(std::string_view value, double qt,
+                  std::vector<core::PtqMatch>* out) const {
+    return Drain(OpenPtqStream(value, qt), 0, out);
+  }
+  Status QueryTopK(std::string_view value, size_t k,
+                   std::vector<core::PtqMatch>* out) const {
+    return Drain(OpenTopKStream(value), k, out);
+  }
+  Status QuerySecondary(int column, std::string_view value, double qt,
+                        core::SecondaryAccessMode mode,
+                        std::vector<core::PtqMatch>* out) const {
+    return Drain(OpenSecondaryStream(column, value, qt, mode), 0, out);
+  }
 
   virtual bool HasSecondary(int column) const {
     (void)column;
@@ -110,27 +130,6 @@ class AccessPath {
 
   /// Schema column the primary probe filters on (-1 when N/A).
   virtual int primary_column() const { return -1; }
-
-  // --- Streaming entry points (pull-based execution) -----------------------
-
-  /// Streaming primary-attribute PTQ: QueryPtq's rows pulled one at a time,
-  /// with deferred phases (e.g. cutoff-pointer fetches) run only if the
-  /// consumer drains that far. nullptr when the path cannot stream — callers
-  /// fall back to materialized execution.
-  virtual std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
-                                                      double qt) const {
-    (void)value, (void)qt;
-    return nullptr;
-  }
-
-  /// Streaming direct top-k: the probability-descending row stream without
-  /// the k bound (the consumer's limit provides it). nullptr when the path
-  /// has no direct cursor.
-  virtual std::unique_ptr<ResultCursor> OpenTopKStream(
-      std::string_view value) const {
-    (void)value;
-    return nullptr;
-  }
 
   /// The underlying table's stats epoch (see core::Upi::stats_epoch);
   /// prepared-plan caches re-plan when it moves. 0 = path never changes.
@@ -188,6 +187,10 @@ class AccessPath {
     (void)value, (void)k;
     return 0.0;
   }
+
+ private:
+  static Status Drain(std::unique_ptr<ResultCursor> cursor, size_t limit,
+                      std::vector<core::PtqMatch>* out);
 };
 
 /// Adapter over a clustered UPI (Section 3).
@@ -199,20 +202,17 @@ class UpiAccessPath : public AccessPath {
   const catalog::Schema& schema() const override { return upi_->schema(); }
   PathStats Stats() const override;
 
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override;
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const override;
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const override;
-  Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
-
   std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
                                               double qt) const override;
   std::unique_ptr<ResultCursor> OpenTopKStream(
       std::string_view value) const override;
+  std::unique_ptr<ResultCursor> OpenSecondaryStream(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const override;
+  Status ScanTuples(
+      int column, std::string_view value, double qt,
+      const std::function<void(const catalog::Tuple&)>& fn) const override;
+
   uint64_t StatsEpoch() const override { return upi_->stats_epoch(); }
 
   bool HasSecondary(int column) const override;
@@ -245,24 +245,20 @@ class FracturedAccessPath : public AccessPath {
   const catalog::Schema& schema() const override { return table_->schema(); }
   PathStats Stats() const override;
 
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override;
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const override;
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const override;
-  Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
-  Status ScanTuplesMatching(
-      int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
-
   /// Streaming PTQ over the pruned fan-out, fractures opened lazily. Holds
   /// the table's shared lock until destroyed (see core::FracturedPtqCursor):
   /// drain promptly and never write to this table while one is open.
   std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
                                               double qt) const override;
+  /// FracturedUpi::QueryTopK with k = the consumer's limit, at first pull.
+  std::unique_ptr<ResultCursor> OpenTopKStream(
+      std::string_view value) const override;
+  std::unique_ptr<ResultCursor> OpenSecondaryStream(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const override;
+  Status ScanTuples(
+      int column, std::string_view value, double qt,
+      const std::function<void(const catalog::Tuple&)>& fn) const override;
 
   uint64_t StatsEpoch() const override { return table_->stats_epoch(); }
   core::PruneEstimate EstimatePrune(int column, std::string_view value,
@@ -291,7 +287,7 @@ class FracturedAccessPath : public AccessPath {
 };
 
 /// Adapter over the unclustered baseline: PTQ / top-k route through the PII
-/// index on `primary_column`; QuerySecondary probes the PII index on the
+/// index on `primary_column`; secondary probes use the PII index on the
 /// requested column (no pointer tailoring exists — `mode` is ignored).
 /// Estimation uses in-RAM probability histograms built by BuildStatistics
 /// (the facade calls it at table creation; a real system would persist them
@@ -308,18 +304,17 @@ class UnclusteredAccessPath : public AccessPath {
   const catalog::Schema& schema() const override { return table_->schema(); }
   PathStats Stats() const override;
 
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override;
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const override;
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const override;
-  Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
-
   std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
                                               double qt) const override;
+  std::unique_ptr<ResultCursor> OpenTopKStream(
+      std::string_view value) const override;
+  std::unique_ptr<ResultCursor> OpenSecondaryStream(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const override;
+  Status ScanTuples(
+      int column, std::string_view value, double qt,
+      const std::function<void(const catalog::Tuple&)>& fn) const override;
+
   uint64_t StatsEpoch() const override { return table_->stats_epoch(); }
 
   bool HasSecondary(int column) const override;
@@ -352,8 +347,6 @@ class UtreeAccessPath : public AccessPath {
   const catalog::Schema& schema() const override { return table_->schema(); }
   PathStats Stats() const override;
 
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override;
   Status QueryRange(prob::Point center, double radius, double qt,
                     std::vector<core::PtqMatch>* out) const override;
   histogram::PtqEstimate EstimatePtq(std::string_view value,

@@ -147,23 +147,6 @@ Result<std::string> Table::ExplainAnalyze(const Query& q) const {
   return std::move(r.text);
 }
 
-#ifndef UPI_NO_LEGACY_QUERY_API
-Result<Plan> Table::Ptq(std::string_view value, double qt,
-                        std::vector<core::PtqMatch>* out) const {
-  return Run(Query::Ptq(value, qt), out);
-}
-
-Result<Plan> Table::Secondary(int column, std::string_view value, double qt,
-                              std::vector<core::PtqMatch>* out) const {
-  return Run(Query::Secondary(column, value, qt), out);
-}
-
-Result<Plan> Table::TopK(std::string_view value, size_t k,
-                         std::vector<core::PtqMatch>* out) const {
-  return Run(Query::TopK(value, k), out);
-}
-#endif  // UPI_NO_LEGACY_QUERY_API
-
 Status Table::Insert(const catalog::Tuple& tuple) {
   wal::WalWriter* w = db_->wal();
   if (w == nullptr) return ApplyInsert(tuple);
@@ -389,12 +372,12 @@ Result<Table*> Database::CreatePartitionedTable(
   table->spec_.secondary_columns = secondary_columns;
   table->spec_.partition = popts;
   UPI_ASSIGN_OR_RETURN(
-      table->partitioned_,
+      std::unique_ptr<PartitionedTable> partitioned,
       PartitionedTable::Create(&env_, &manager_, EnsureGatherPool(), name,
                                std::move(schema), options,
                                std::move(secondary_columns), popts, tuples));
-  table->path_ =
-      std::make_unique<PartitionedAccessPath>(table->partitioned_.get());
+  table->partitioned_ = partitioned.get();
+  table->path_ = std::move(partitioned);
   table->planner_ = std::make_unique<QueryPlanner>(table->path_.get(), profile_,
                                                    env_.metrics());
   table->instruments_ = &instruments_;
@@ -501,6 +484,7 @@ Status Database::Checkpoint() {
   for (const auto& [name, table] : tables_) {
     std::vector<catalog::Tuple> tuples;
     UPI_RETURN_NOT_OK(table->path()->ScanTuples(
+        /*column=*/-1, {}, /*qt=*/-1.0,
         [&tuples](const catalog::Tuple& t) { tuples.push_back(t); }));
     payloads.push_back(wal::EncodeCreateTable(name, table->spec_, tuples));
   }

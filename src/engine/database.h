@@ -10,9 +10,6 @@
 // Fractured tables are auto-registered with the environment's
 // MaintenanceManager, and every Insert/Delete notifies it so the Section 6.2
 // watermarks drive flushes and merges.
-//
-// Building with -DUPI_NO_LEGACY_QUERY_API removes the deprecated
-// Ptq/Secondary/TopK shims, so new code cannot regress onto them.
 #pragma once
 
 #include <map>
@@ -72,7 +69,8 @@ class Table {
   /// installs on that table block until it is destroyed — drain promptly,
   /// and never write to the table from the thread holding the cursor.
   /// Remaining fan-out and union plans (secondary probes, scans, threshold
-  /// top-k) materialize at open and have no such hazard.
+  /// top-k) compute their rows in one call at the first pull and hold
+  /// nothing afterwards.
   Result<std::unique_ptr<ResultCursor>> OpenCursor(const Query& q) const;
 
   /// Validates and prepares `q` for repeated execution: the plan is cached
@@ -110,19 +108,6 @@ class Table {
   /// actual totals.
   Result<std::string> ExplainAnalyze(const Query& q) const;
 
-#ifndef UPI_NO_LEGACY_QUERY_API
-  // --- Deprecated pre-Query shims (one release; see Run/Prepare). ---------
-  [[deprecated("use Run(Query::Ptq(value, qt), out)")]]
-  Result<Plan> Ptq(std::string_view value, double qt,
-                   std::vector<core::PtqMatch>* out) const;
-  [[deprecated("use Run(Query::Secondary(column, value, qt), out)")]]
-  Result<Plan> Secondary(int column, std::string_view value, double qt,
-                         std::vector<core::PtqMatch>* out) const;
-  [[deprecated("use Run(Query::TopK(value, k), out)")]]
-  Result<Plan> TopK(std::string_view value, size_t k,
-                    std::vector<core::PtqMatch>* out) const;
-#endif  // UPI_NO_LEGACY_QUERY_API
-
   // --- Writes. Fractured tables notify the maintenance manager, which
   // flushes/merges per its cost-model policy. When the database has a WAL,
   // the write is journaled first (holding the checkpoint gate shared across
@@ -135,7 +120,7 @@ class Table {
   core::Upi* upi() const { return upi_.get(); }
   core::FracturedUpi* fractured() const { return fractured_.get(); }
   baseline::UnclusteredTable* unclustered() const { return unclustered_.get(); }
-  PartitionedTable* partitioned() const { return partitioned_.get(); }
+  PartitionedTable* partitioned() const { return partitioned_; }
 
  private:
   friend class Database;
@@ -155,7 +140,7 @@ class Table {
   std::unique_ptr<core::Upi> upi_;
   std::unique_ptr<core::FracturedUpi> fractured_;
   std::unique_ptr<baseline::UnclusteredTable> unclustered_;
-  std::unique_ptr<PartitionedTable> partitioned_;
+  PartitionedTable* partitioned_ = nullptr;  // owned as path_
   std::unique_ptr<AccessPath> path_;
   std::unique_ptr<QueryPlanner> planner_;
 };

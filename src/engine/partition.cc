@@ -478,156 +478,109 @@ Status PartitionedTable::Scatter(
   return st;
 }
 
-namespace {
-
-/// One shard's PTQ, through the exact code path an unpartitioned execution
-/// takes (stream when the path offers one, materialized otherwise) — so a
-/// partitioned gather is bit-identical to the flat table, row for row.
-Status ProbeShardPtq(const AccessPath& path, std::string_view value, double qt,
-                     std::vector<core::PtqMatch>* rows) {
-  std::unique_ptr<ResultCursor> stream = path.OpenPtqStream(value, qt);
-  if (stream == nullptr) return path.QueryPtq(value, qt, rows);
-  core::PtqMatch m;
-  while (stream->TakeNext(&m)) rows->push_back(std::move(m));
-  return stream->status();
-}
-
-}  // namespace
-
-Status PartitionedTable::QueryPtq(std::string_view value, double qt,
-                                  std::vector<core::PtqMatch>* out) const {
-  std::vector<ShardRun> runs;
-  UPI_RETURN_NOT_OK(Scatter(
-      -1, value, qt, "ptq",
-      [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        return ProbeShardPtq(*s.path, value, qt, rows);
-      },
-      &runs));
-  for (ShardRun& run : runs) {
-    out->insert(out->end(), std::make_move_iterator(run.rows.begin()),
-                std::make_move_iterator(run.rows.end()));
-  }
-  exec::SortByConfidenceDesc(out);
-  return Status::OK();
-}
-
-Status PartitionedTable::QueryTopK(std::string_view value, size_t k,
-                                   std::vector<core::PtqMatch>* out) const {
-  if (k == 0) return Status::OK();
-  exec::GlobalTopKBound bound(k);
-  const bool use_bound = popts_.topk_global_bound;
-  std::vector<ShardRun> runs;
-  UPI_RETURN_NOT_OK(Scatter(
-      -1, value, /*qt=*/0.0, "topk",
-      [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        std::unique_ptr<ResultCursor> stream = s.path->OpenTopKStream(value);
-        if (stream == nullptr) {
-          // Fractured shards run their own internally-bounded top-k; their
-          // scores still feed the global bound so streaming shards that race
-          // them can exit earlier.
-          UPI_RETURN_NOT_OK(s.path->QueryTopK(value, k, rows));
-          if (use_bound) {
-            for (const core::PtqMatch& m : *rows) bound.Offer(m.confidence);
-          }
-          return Status::OK();
-        }
-        // The stream descends in confidence: once the global bound is
-        // saturated and a row falls strictly below the k-th score, nothing
-        // later in this shard can contribute — stop without paying for the
-        // pages behind it (deferred cutoff-pointer fetches included).
-        core::PtqMatch m;
-        while (rows->size() < k && stream->TakeNext(&m)) {
-          if (use_bound && !bound.Offer(m.confidence)) break;
-          rows->push_back(std::move(m));
-        }
-        return stream->status();
-      },
-      &runs));
-  std::vector<core::PtqMatch> merged;
-  for (ShardRun& run : runs) {
-    merged.insert(merged.end(), std::make_move_iterator(run.rows.begin()),
-                  std::make_move_iterator(run.rows.end()));
-  }
-  exec::SortByConfidenceDesc(&merged);
-  if (merged.size() > k) merged.resize(k);
-  out->insert(out->end(), std::make_move_iterator(merged.begin()),
-              std::make_move_iterator(merged.end()));
-  return Status::OK();
-}
-
-Status PartitionedTable::QuerySecondary(int column, std::string_view value,
-                                        double qt,
-                                        core::SecondaryAccessMode mode,
-                                        std::vector<core::PtqMatch>* out) const {
-  std::vector<ShardRun> runs;
-  UPI_RETURN_NOT_OK(Scatter(
-      column, value, qt, "secondary",
-      [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        return s.path->QuerySecondary(column, value, qt, mode, rows);
-      },
-      &runs));
-  for (ShardRun& run : runs) {
-    out->insert(out->end(), std::make_move_iterator(run.rows.begin()),
-                std::make_move_iterator(run.rows.end()));
-  }
-  exec::SortByConfidenceDesc(out);
-  return Status::OK();
-}
-
-Status PartitionedTable::ScanTuples(
-    const std::function<void(const catalog::Tuple&)>& fn) const {
-  // Serial: the tuple callback isn't thread-safe, and a sweep is bandwidth-
-  // bound on the single simulated spindle anyway.
-  for (const auto& shard : shards_) {
-    UPI_RETURN_NOT_OK(shard->path->ScanTuples(fn));
-  }
-  return Status::OK();
-}
-
-Status PartitionedTable::ScanTuplesMatching(
-    int column, std::string_view value, double qt,
-    const std::function<void(const catalog::Tuple&)>& fn) const {
-  const int col = ResolveColumn(column);
-  size_t probed = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!Admissible(i, col, value, qt)) continue;
-    ++probed;
-    UPI_RETURN_NOT_OK(shards_[i]->path->ScanTuplesMatching(column, value, qt, fn));
-  }
-  shards_probed_total_.fetch_add(probed, std::memory_order_relaxed);
-  shards_pruned_total_.fetch_add(shards_.size() - probed,
-                                 std::memory_order_relaxed);
-  if (m_shards_probed_ != nullptr) m_shards_probed_->Add(probed);
-  if (m_shards_pruned_ != nullptr) {
-    m_shards_pruned_->Add(shards_.size() - probed);
-  }
-  return Status::OK();
-}
-
 std::unique_ptr<ResultCursor> PartitionedTable::OpenPtqStream(
     std::string_view value, double qt) const {
-  // The scatter happens at open (the shard runs come back sorted); only the
-  // k-way merge is lazy. A shard failure rides in the cursor's status — the
-  // I/O is already charged, so falling back to materialized execution would
-  // double it.
+  // The scatter happens at open (each shard's run comes back sorted); only
+  // the k-way merge is lazy. A shard failure rides in the cursor's status.
   std::vector<ShardRun> runs;
   Status st = Scatter(
       -1, value, qt, "ptq",
       [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        return ProbeShardPtq(*s.path, value, qt, rows);
+        return s.path->QueryPtq(value, qt, rows);
       },
       &runs);
   std::vector<std::vector<core::PtqMatch>> sorted_runs;
   sorted_runs.reserve(runs.size());
   for (ShardRun& run : runs) {
-    if (run.rows.empty()) continue;
-    // Streams return heap rows in confidence order but the cutoff-pointer
-    // tail in storage order; the merge needs fully sorted runs.
-    exec::SortByConfidenceDesc(&run.rows);
-    sorted_runs.push_back(std::move(run.rows));
+    if (!run.rows.empty()) sorted_runs.push_back(std::move(run.rows));
   }
   return std::make_unique<exec::MergedRunsCursor>(std::move(sorted_runs),
                                                   std::move(st));
+}
+
+void PartitionedTable::GatherRuns(std::vector<ShardRun>* runs,
+                                  std::vector<core::PtqMatch>* out) {
+  for (ShardRun& run : *runs) {
+    out->insert(out->end(), std::make_move_iterator(run.rows.begin()),
+                std::make_move_iterator(run.rows.end()));
+  }
+}
+
+std::unique_ptr<ResultCursor> PartitionedTable::OpenTopKStream(
+    std::string_view value) const {
+  return std::make_unique<RowsCursor>(
+      [this, value = std::string(value)](size_t k,
+                                         std::vector<core::PtqMatch>* out) {
+        exec::GlobalTopKBound bound(k);
+        const bool use_bound = popts_.topk_global_bound;
+        std::vector<ShardRun> runs;
+        UPI_RETURN_NOT_OK(Scatter(
+            -1, value, /*qt=*/0.0, "topk",
+            [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
+              // Every shard stream descends in confidence: once the global
+              // bound is saturated and a row falls strictly below the k-th
+              // score, nothing later in this shard can contribute — stop
+              // without paying for the pages behind it (deferred
+              // cutoff-pointer fetches included).
+              std::unique_ptr<ResultCursor> stream =
+                  s.path->OpenTopKStream(value);
+              stream->SetLimit(k);
+              core::PtqMatch m;
+              while (stream->TakeNext(&m)) {
+                if (use_bound && !bound.Offer(m.confidence)) break;
+                rows->push_back(std::move(m));
+              }
+              return stream->status();
+            },
+            &runs));
+        GatherRuns(&runs, out);
+        exec::SortByConfidenceDesc(out);
+        if (out->size() > k) out->resize(k);
+        return Status::OK();
+      },
+      /*k_bounded=*/true);
+}
+
+std::unique_ptr<ResultCursor> PartitionedTable::OpenSecondaryStream(
+    int column, std::string_view value, double qt,
+    core::SecondaryAccessMode mode) const {
+  return std::make_unique<RowsCursor>(
+      [this, column, value = std::string(value), qt, mode](
+          size_t, std::vector<core::PtqMatch>* out) {
+        std::vector<ShardRun> runs;
+        UPI_RETURN_NOT_OK(Scatter(
+            column, value, qt, "secondary",
+            [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
+              return s.path->QuerySecondary(column, value, qt, mode, rows);
+            },
+            &runs));
+        GatherRuns(&runs, out);
+        return Status::OK();
+      },
+      /*k_bounded=*/false);
+}
+
+Status PartitionedTable::ScanTuples(
+    int column, std::string_view value, double qt,
+    const std::function<void(const catalog::Tuple&)>& fn) const {
+  const bool filtered = qt >= 0.0;
+  const int col = ResolveColumn(column);
+  size_t probed = 0;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (filtered && !Admissible(i, col, value, qt)) continue;
+    ++probed;
+    UPI_RETURN_NOT_OK(shards_[i]->path->ScanTuples(column, value, qt, fn));
+  }
+  if (filtered) {
+    shards_probed_total_.fetch_add(probed, std::memory_order_relaxed);
+    shards_pruned_total_.fetch_add(shards_.size() - probed,
+                                   std::memory_order_relaxed);
+    if (m_shards_probed_ != nullptr) m_shards_probed_->Add(probed);
+    if (m_shards_pruned_ != nullptr) {
+      m_shards_pruned_->Add(shards_.size() - probed);
+    }
+  }
+  return Status::OK();
 }
 
 PathStats PartitionedTable::Stats() const {

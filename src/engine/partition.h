@@ -181,10 +181,10 @@ class GatherPool {
 };
 
 /// The logical table: N shards plus the router, summaries, and gather logic.
-/// Database owns one per partitioned table and exposes it through the usual
-/// Table/AccessPath surface (PartitionedAccessPath below), so Query /
-/// Prepare / EXPLAIN work unchanged against the logical name.
-class PartitionedTable {
+/// Database owns one per partitioned table and serves it as the table's
+/// AccessPath, so the planner, executor, prepared queries, and EXPLAIN
+/// ANALYZE work unchanged against the logical name.
+class PartitionedTable : public AccessPath {
  public:
   /// Bulk-builds N shards named `name.s<i>` from `tuples` (routed by the
   /// clustered attribute's highest-probability alternative). Fractured
@@ -216,42 +216,45 @@ class PartitionedTable {
 
   // --- Reads (scatter-gather) ----------------------------------------------
 
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const;
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const;
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const;
-  Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const;
-  Status ScanTuplesMatching(
-      int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const;
   /// Gathers the admissible shards' sorted PTQ runs (concurrently), merged
   /// into one descending-confidence stream.
   std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
-                                              double qt) const;
+                                              double qt) const override;
+  /// Gathers every admissible shard's top-k stream, k = the consumer's
+  /// limit, under one global k-th-score bound; computed at the first pull.
+  std::unique_ptr<ResultCursor> OpenTopKStream(
+      std::string_view value) const override;
+  std::unique_ptr<ResultCursor> OpenSecondaryStream(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const override;
+  /// Serial shard sweeps: the tuple callback isn't thread-safe, and a sweep
+  /// is bandwidth-bound on the single simulated spindle anyway.
+  Status ScanTuples(
+      int column, std::string_view value, double qt,
+      const std::function<void(const catalog::Tuple&)>& fn) const override;
 
   // --- Estimation (RAM only) -----------------------------------------------
 
-  PathStats Stats() const;
-  uint64_t StatsEpoch() const;
-  histogram::PtqEstimate EstimatePtq(std::string_view value, double qt) const;
+  PathStats Stats() const override;
+  uint64_t StatsEpoch() const override;
+  histogram::PtqEstimate EstimatePtq(std::string_view value,
+                                     double qt) const override;
   double EstimateSecondaryMatches(int column, std::string_view value,
-                                  double qt) const;
+                                  double qt) const override;
   core::PruneEstimate EstimatePrune(int column, std::string_view value,
-                                    double qt) const;
-  double SecondaryAvgPointers(int column) const;
-  double EstimateTopKThreshold(std::string_view value, size_t k) const;
-  AccessPath::ShardFanout EstimateShards(int column, std::string_view value,
-                                         double qt) const;
-  bool HasSecondary(int column) const;
+                                    double qt) const override;
+  double SecondaryAvgPointers(int column) const override;
+  double EstimateTopKThreshold(std::string_view value,
+                               size_t k) const override;
+  ShardFanout EstimateShards(int column, std::string_view value,
+                             double qt) const override;
+  bool HasSecondary(int column) const override;
+  int primary_column() const override { return options_.cluster_column; }
 
   // --- Introspection --------------------------------------------------------
 
-  const std::string& name() const { return name_; }
-  const catalog::Schema& schema() const { return schema_; }
+  const std::string& name() const override { return name_; }
+  const catalog::Schema& schema() const override { return schema_; }
   const core::UpiOptions& options() const { return options_; }
   const Partitioner& partitioner() const { return partitioner_; }
   const PartitionOptions& partition_options() const { return popts_; }
@@ -313,6 +316,9 @@ class PartitionedTable {
       const std::function<Status(const Shard&, std::vector<core::PtqMatch>*)>&
           probe,
       std::vector<ShardRun>* runs) const;
+  /// Appends every shard run's rows to `out`.
+  static void GatherRuns(std::vector<ShardRun>* runs,
+                         std::vector<core::PtqMatch>* out);
   void ForEachShardPath(const std::function<void(const AccessPath&)>& fn) const;
 
   storage::DbEnv* env_ = nullptr;
@@ -332,86 +338,6 @@ class PartitionedTable {
   obs::Counter* m_shards_probed_ = nullptr;  // upi_partition_shards_probed_total
   obs::Counter* m_shards_pruned_ = nullptr;  // upi_partition_shards_pruned_total
   obs::Counter* m_rows_routed_ = nullptr;    // upi_partition_rows_routed_total
-};
-
-/// Thin AccessPath adapter over a PartitionedTable — the same shape
-/// UpiAccessPath/FracturedAccessPath give their cores, so the planner,
-/// executor, prepared queries, and EXPLAIN ANALYZE work against partitioned
-/// tables unchanged.
-class PartitionedAccessPath : public AccessPath {
- public:
-  explicit PartitionedAccessPath(const PartitionedTable* table)
-      : table_(table) {}
-
-  const std::string& name() const override { return table_->name(); }
-  const catalog::Schema& schema() const override { return table_->schema(); }
-  PathStats Stats() const override { return table_->Stats(); }
-
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override {
-    return table_->QueryPtq(value, qt, out);
-  }
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const override {
-    return table_->QueryTopK(value, k, out);
-  }
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const override {
-    return table_->QuerySecondary(column, value, qt, mode, out);
-  }
-  Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const override {
-    return table_->ScanTuples(fn);
-  }
-  Status ScanTuplesMatching(
-      int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const override {
-    return table_->ScanTuplesMatching(column, value, qt, fn);
-  }
-  std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
-                                              double qt) const override {
-    return table_->OpenPtqStream(value, qt);
-  }
-  // No OpenTopKStream: the consumer's k must reach the gather (the global
-  // bound is sized by it), so top-k flows through the materialized
-  // QueryTopK.
-
-  uint64_t StatsEpoch() const override { return table_->StatsEpoch(); }
-  bool HasSecondary(int column) const override {
-    return table_->HasSecondary(column);
-  }
-  int primary_column() const override {
-    return table_->options().cluster_column;
-  }
-  histogram::PtqEstimate EstimatePtq(std::string_view value,
-                                     double qt) const override {
-    return table_->EstimatePtq(value, qt);
-  }
-  double EstimateSecondaryMatches(int column, std::string_view value,
-                                  double qt) const override {
-    return table_->EstimateSecondaryMatches(column, value, qt);
-  }
-  core::PruneEstimate EstimatePrune(int column, std::string_view value,
-                                    double qt) const override {
-    return table_->EstimatePrune(column, value, qt);
-  }
-  double SecondaryAvgPointers(int column) const override {
-    return table_->SecondaryAvgPointers(column);
-  }
-  double EstimateTopKThreshold(std::string_view value,
-                               size_t k) const override {
-    return table_->EstimateTopKThreshold(value, k);
-  }
-  ShardFanout EstimateShards(int column, std::string_view value,
-                             double qt) const override {
-    return table_->EstimateShards(column, value, qt);
-  }
-
-  const PartitionedTable* partitioned() const { return table_; }
-
- private:
-  const PartitionedTable* table_;
 };
 
 }  // namespace upi::engine

@@ -1,6 +1,7 @@
 #include "engine/query.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -12,6 +13,7 @@
 #include "engine/planner.h"
 #include "exec/cursor.h"
 #include "exec/operators.h"
+#include "exec/ptq.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "sim/sim_disk.h"
@@ -195,6 +197,30 @@ bool ResultCursor::Next(RowView* row) {
 bool ResultCursor::TakeNext(core::PtqMatch* match) {
   if (!Advance()) return false;
   *match = std::move(slot_);
+  return true;
+}
+
+std::unique_ptr<ResultCursor> RowsCursor::Failed(Status error) {
+  auto cursor = std::make_unique<RowsCursor>(nullptr, false);
+  cursor->status_ = std::move(error);
+  return cursor;
+}
+
+bool RowsCursor::Produce(core::PtqMatch* out) {
+  if (idx_ >= rows_.size()) {
+    // A run that came up short of its bound has nothing more behind it.
+    if (want_ > 0 && rows_.size() < want_) return false;
+    if (want_ == 0) {
+      want_ = k_bounded_ && limit() > 0 ? limit() : SIZE_MAX;
+    } else {
+      want_ *= 2;
+    }
+    rows_.clear();
+    status_ = probe_(want_, &rows_);
+    if (!status_.ok() || idx_ >= rows_.size()) return false;
+    exec::SortByConfidenceDesc(&rows_);
+  }
+  *out = std::move(rows_[idx_++]);
   return true;
 }
 

@@ -120,10 +120,11 @@ struct RowView {
   const catalog::Tuple* tuple = nullptr;
 };
 
-/// Pull-based result stream. Implementations either stream straight off the
-/// storage structures (clustered PTQ, direct top-k, PII probes) or serve a
-/// materialized vector (fan-out and union plans). The base class enforces the
-/// row limit and the residual predicate so every producer stays simple.
+/// Pull-based result stream: what every AccessPath probe and every executed
+/// Plan returns. Implementations either stream straight off the storage
+/// structures (clustered PTQ, direct top-k, PII probes) or serve rows one
+/// probe call computed (RowsCursor). The base class enforces the row limit
+/// and the residual predicate so every producer stays simple.
 ///
 /// Streaming cursors read live index pages: drain them before writing to
 /// the table (see Table::OpenCursor for the full lifetime contract).
@@ -160,6 +161,9 @@ class ResultCursor {
   /// (set status_ before returning false on error).
   virtual bool Produce(core::PtqMatch* out) = 0;
 
+  /// The consumer's row cap (0 = unlimited), fixed before the first pull.
+  size_t limit() const { return limit_; }
+
   Status status_;
 
  private:
@@ -169,6 +173,37 @@ class ResultCursor {
   std::function<bool(const catalog::Tuple&)> predicate_;
   core::PtqMatch slot_;
   size_t rows_ = 0;
+};
+
+/// Serves, best first (confidence descending, ties by TupleId), the rows of
+/// one probe call made at the first pull. A `k_bounded` probe (a top-k with
+/// no stream of its own) takes the consumer's limit as its k. When the
+/// consumer pulls past a full run — its residual predicate rejected rows —
+/// the probe is repeated with twice the bound and only the new tail is
+/// served. Each run is the exact top-k under that total order, so a run's
+/// head repeats the rows already served, and this k -> 2k -> 4k over-fetch
+/// issues the same probe calls and yields the same rows as re-running the
+/// whole top-k until enough rows pass. An unbounded probe runs once, with
+/// k = SIZE_MAX.
+class RowsCursor : public ResultCursor {
+ public:
+  using Probe =
+      std::function<Status(size_t k, std::vector<core::PtqMatch>* out)>;
+
+  RowsCursor(Probe probe, bool k_bounded)
+      : probe_(std::move(probe)), k_bounded_(k_bounded) {}
+
+  /// A cursor that produces nothing and reports `error` from status().
+  static std::unique_ptr<ResultCursor> Failed(Status error);
+
+ private:
+  bool Produce(core::PtqMatch* out) override;
+
+  Probe probe_;
+  bool k_bounded_ = false;
+  size_t want_ = 0;  // the last run's bound; 0 = not run yet
+  std::vector<core::PtqMatch> rows_;
+  size_t idx_ = 0;  // rows served, across runs
 };
 
 class PreparedQuery;

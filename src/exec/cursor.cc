@@ -1,116 +1,59 @@
 #include "exec/cursor.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "exec/operators.h"
-#include "exec/ptq.h"
 #include "exec/topk.h"
 
 namespace upi::exec {
 
 namespace {
 
-/// Runs a materialized top-k (direct cursor or threshold strategy) with
-/// enough raw rows that `predicate` survivors still reach plan.k: the k
-/// bound is retried doubled until the filtered count suffices or the table
-/// runs out of rows. Without a predicate this is one plain k-bounded run.
-Status MaterializeTopK(const engine::AccessPath& path,
-                       const engine::Plan& plan,
-                       const std::function<bool(const catalog::Tuple&)>& pred,
-                       std::vector<core::PtqMatch>* rows) {
-  auto run_once = [&](size_t k, std::vector<core::PtqMatch>* out) -> Status {
-    out->clear();
-    if (plan.kind == engine::PlanKind::kTopKDirect) {
-      return TopKDirect(path, plan.value, k, out);
+/// The probe cursor `plan`'s kind names, with no limit or predicate set.
+std::unique_ptr<engine::ResultCursor> OpenPlanCursor(
+    const engine::AccessPath& path, const engine::Plan& plan) {
+  switch (plan.kind) {
+    case engine::PlanKind::kPrimaryProbe:
+      return path.OpenPtqStream(plan.value, plan.qt);
+    case engine::PlanKind::kSecondaryFirstPointer:
+      return path.OpenSecondaryStream(plan.column, plan.value, plan.qt,
+                                      core::SecondaryAccessMode::kFirstPointer);
+    case engine::PlanKind::kSecondaryTailored:
+      return path.OpenSecondaryStream(plan.column, plan.value, plan.qt,
+                                      core::SecondaryAccessMode::kTailored);
+    case engine::PlanKind::kHeapScan: {
+      int column = plan.column >= 0 ? plan.column : path.primary_column();
+      return std::make_unique<engine::RowsCursor>(
+          [&path, column, value = plan.value, qt = plan.qt](
+              size_t, std::vector<core::PtqMatch>* out) {
+            return ScanFilter(path, column, value, qt, out);
+          },
+          /*k_bounded=*/false);
     }
-    // Same descent loop for both threshold strategies; they differ in the
-    // planner-set starting threshold (histogram estimate vs. fixed 0.5).
-    return TopKByDecreasingThreshold(path, plan.value, k, plan.initial_qt,
-                                     out);
-  };
-  if (!pred) return run_once(plan.k, rows);
-  size_t want = plan.k;
-  for (;;) {
-    UPI_RETURN_NOT_OK(run_once(want, rows));
-    size_t passing = 0;
-    for (const auto& m : *rows) {
-      if (pred(m.tuple)) ++passing;
-    }
-    // Stop when k rows survive the filter, or the table has no more rows to
-    // offer (the run returned fewer than asked).
-    if (passing >= plan.k || rows->size() < want) return Status::OK();
-    want *= 2;
+    case engine::PlanKind::kTopKDirect:
+      return path.OpenTopKStream(plan.value);
+    case engine::PlanKind::kTopKEstimatedThreshold:
+    case engine::PlanKind::kTopKDecreasingThreshold:
+      // Same descent loop for both threshold strategies; they differ in the
+      // planner-set starting threshold (histogram estimate vs. fixed 0.5).
+      return std::make_unique<engine::RowsCursor>(
+          [&path, value = plan.value, initial_qt = plan.initial_qt](
+              size_t k, std::vector<core::PtqMatch>* out) {
+            return TopKByDecreasingThreshold(path, value, k, initial_qt, out);
+          },
+          /*k_bounded=*/true);
   }
+  return engine::RowsCursor::Failed(Status::Internal("unknown plan kind"));
 }
 
 }  // namespace
 
-Status ExecuteMaterialized(
-    const engine::AccessPath& path, const engine::Plan& plan,
-    const std::function<bool(const catalog::Tuple&)>& predicate,
-    std::vector<core::PtqMatch>* out) {
-  std::vector<core::PtqMatch>& rows = *out;
-  switch (plan.kind) {
-    case engine::PlanKind::kPrimaryProbe:
-      UPI_RETURN_NOT_OK(path.QueryPtq(plan.value, plan.qt, &rows));
-      break;
-    case engine::PlanKind::kSecondaryFirstPointer:
-      UPI_RETURN_NOT_OK(path.QuerySecondary(
-          plan.column, plan.value, plan.qt,
-          core::SecondaryAccessMode::kFirstPointer, &rows));
-      break;
-    case engine::PlanKind::kSecondaryTailored:
-      UPI_RETURN_NOT_OK(
-          path.QuerySecondary(plan.column, plan.value, plan.qt,
-                              core::SecondaryAccessMode::kTailored, &rows));
-      break;
-    case engine::PlanKind::kHeapScan: {
-      int column = plan.column >= 0 ? plan.column : path.primary_column();
-      UPI_RETURN_NOT_OK(ScanFilter(path, column, plan.value, plan.qt, &rows));
-      break;
-    }
-    case engine::PlanKind::kTopKDirect:
-    case engine::PlanKind::kTopKEstimatedThreshold:
-    case engine::PlanKind::kTopKDecreasingThreshold:
-      UPI_RETURN_NOT_OK(MaterializeTopK(path, plan, predicate, &rows));
-      break;
-  }
-  if (predicate) {
-    // Top-k already over-fetched for survivors (MaterializeTopK); here the
-    // filter just drops the failures uniformly.
-    std::erase_if(rows, [&](const core::PtqMatch& m) {
-      return !predicate(m.tuple);
-    });
-  }
-  SortByConfidenceDesc(&rows);
-  return Status::OK();
-}
-
 Result<std::unique_ptr<engine::ResultCursor>> OpenCursor(
     const engine::AccessPath& path, const engine::Plan& plan,
     std::function<bool(const catalog::Tuple&)> predicate) {
-  std::unique_ptr<engine::ResultCursor> cursor;
-  switch (plan.kind) {
-    case engine::PlanKind::kPrimaryProbe:
-      cursor = path.OpenPtqStream(plan.value, plan.qt);
-      break;
-    case engine::PlanKind::kTopKDirect:
-      // Paths without a stream fall through to the materialized run, whose
-      // TopKDirect call either uses the path's own QueryTopK or reports
-      // NotSupported.
-      cursor = path.OpenTopKStream(plan.value);
-      break;
-    default:
-      break;  // fan-out / union plans run materialized
-  }
-  if (cursor != nullptr) {
-    if (predicate) cursor->SetPredicate(std::move(predicate));
-  } else {
-    std::vector<core::PtqMatch> rows;
-    UPI_RETURN_NOT_OK(ExecuteMaterialized(path, plan, predicate, &rows));
-    cursor = std::make_unique<MaterializedCursor>(std::move(rows));
-  }
+  std::unique_ptr<engine::ResultCursor> cursor = OpenPlanCursor(path, plan);
+  UPI_RETURN_NOT_OK(cursor->status());
+  if (predicate) cursor->SetPredicate(std::move(predicate));
   size_t limit = plan.limit;
   if (plan.k > 0 && (limit == 0 || plan.k < limit)) limit = plan.k;
   cursor->SetLimit(limit);

@@ -18,8 +18,7 @@ Status ScanFilter(const engine::AccessPath& path, int column,
   // The filter predicate rides along so paths with pruning metadata can
   // skip storage units that cannot contain a qualifying alternative; the
   // exact per-tuple check below still decides every emitted row.
-  return path.ScanTuplesMatching(column, value, qt,
-                                 [&](const catalog::Tuple& tuple) {
+  return path.ScanTuples(column, value, qt, [&](const catalog::Tuple& tuple) {
     double conf = tuple.ConfidenceOf(static_cast<size_t>(column), value);
     if (conf < qt || conf <= 0.0) return;
     core::PtqMatch m;
@@ -33,33 +32,22 @@ Status ScanFilter(const engine::AccessPath& path, int column,
 Status Execute(const engine::AccessPath& path, const engine::Plan& plan,
                std::vector<core::PtqMatch>* out,
                std::function<bool(const catalog::Tuple&)> predicate) {
-  // LIMIT is applied only *after* the confidence sort (the documented
-  // contract: the limit keeps the highest-confidence rows) — pushing it into
-  // a streaming cursor would truncate in storage order, which can differ
-  // once a PTQ spills into the cutoff phase. Early-exit LIMIT execution is
-  // OpenCursor()'s job; top-k stays pushed down (its stream is the k bound).
   obs::QueryTrace* trace = obs::CurrentTrace();
   const size_t trace_ops_before = trace != nullptr ? trace->ops.size() : 0;
   obs::TraceOpScope whole_op;
-  std::unique_ptr<engine::ResultCursor> stream;
-  if (plan.kind == engine::PlanKind::kPrimaryProbe) {
-    stream = path.OpenPtqStream(plan.value, plan.qt);
-  } else if (plan.kind == engine::PlanKind::kTopKDirect) {
-    stream = path.OpenTopKStream(plan.value);
-  }
+  UPI_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
+                       OpenCursor(path, plan, std::move(predicate)));
+  // LIMIT is applied only *after* the confidence sort (the documented
+  // contract: the limit keeps the highest-confidence rows) — pushing it into
+  // a PTQ stream would truncate in storage order. Early-exit LIMIT execution
+  // is OpenCursor()'s job; top-k stays pushed down (its stream is the k
+  // bound).
+  cursor->SetLimit(plan.k);
   std::vector<core::PtqMatch> rows;
-  if (stream != nullptr) {
-    if (plan.k > 0) stream->SetLimit(plan.k);
-    if (predicate) stream->SetPredicate(std::move(predicate));
-    core::PtqMatch m;
-    while (stream->TakeNext(&m)) rows.push_back(std::move(m));
-    UPI_RETURN_NOT_OK(stream->status());
-    SortByConfidenceDesc(&rows);
-  } else {
-    // Already predicate-filtered and confidence-sorted.
-    UPI_RETURN_NOT_OK(ExecuteMaterialized(path, plan, predicate, &rows));
-  }
-  if (plan.k > 0 && rows.size() > plan.k) rows.resize(plan.k);
+  core::PtqMatch m;
+  while (cursor->TakeNext(&m)) rows.push_back(std::move(m));
+  UPI_RETURN_NOT_OK(cursor->status());
+  SortByConfidenceDesc(&rows);
   if (plan.limit > 0 && rows.size() > plan.limit) rows.resize(plan.limit);
   // Plans with no finer-grained instrumentation (clustered probes, scans,
   // union plans) still get one operator record covering the execution.

@@ -1,7 +1,7 @@
 // Executor operators over the engine's AccessPath abstraction.
 //
-// Execute() runs a planner-produced Plan materialized: a fully drained
-// ResultCursor (see exec/cursor.h) plus the final confidence sort — the
+// Execute() runs a planner-produced Plan materialized: the plan's cursor
+// (see exec/cursor.h) drained, confidence-sorted and truncated — the
 // EXPLAIN output and the executed physical operator can never disagree,
 // because both come from the same Plan. ScanFilter() is the sequential
 // fallback operator the planner falls back to when a pointer sweep

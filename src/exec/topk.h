@@ -5,8 +5,7 @@
 // needs only the first k entries. Section 9 sketches two TAL strategies for
 // engines that only expose threshold queries; both are implemented here over
 // the engine's AccessPath abstraction, so they run unchanged against a plain
-// UPI, a Fractured UPI (which has no direct top-k cursor — exactly the
-// Section 9 scenario), or the PII baseline:
+// UPI, a Fractured UPI, or the PII baseline:
 //  * estimate a minimum probability and issue one PTQ with it;
 //  * issue PTQs with geometrically decreasing thresholds until k results.
 #pragma once

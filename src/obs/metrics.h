@@ -22,13 +22,12 @@
 //    pointers by the instrumented subsystem; the per-event path never takes
 //    a lock or hashes a name.
 //
-// Off-switches: set_enabled(false) gates every native Add/Set/Record behind
-// one relaxed bool load (the runtime switch bench_throughput's overhead row
-// measures); compiling with -DUPI_OBS_DISABLED turns the record paths into
-// empty inlines (the compile-time switch). Snapshot *hooks* — callbacks that
-// export counters a subsystem already maintains for itself (SimDisk stripes,
-// buffer-pool shard counters) — run only at snapshot time and are therefore
-// free on the hot path and unaffected by the switch.
+// Off-switch: set_enabled(false) gates every native Add/Set/Record behind
+// one relaxed bool load (bench_throughput's overhead row measures it).
+// Snapshot *hooks* — callbacks that export counters a subsystem already
+// maintains for itself (SimDisk stripes, buffer-pool shard counters) — run
+// only at snapshot time and are therefore free on the hot path and
+// unaffected by the switch.
 #pragma once
 
 #include <atomic>
@@ -89,12 +88,8 @@ struct MetricsSnapshot {
 class Counter {
  public:
   void Add(uint64_t n = 1) {
-#ifndef UPI_OBS_DISABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
     AddAlways(n);
-#else
-    (void)n;
-#endif
   }
 
   /// Sum of all stripes. Each stripe is updated atomically, so the sum is
@@ -118,12 +113,8 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) {
-#ifndef UPI_OBS_DISABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
@@ -143,12 +134,8 @@ class Histogram {
   static constexpr size_t kBuckets = 32;
 
   void Record(double v) {
-#ifndef UPI_OBS_DISABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
     RecordAlways(v);
-#else
-    (void)v;
-#endif
   }
 
   /// The bucket a value lands in (exposed for the boundary tests).

@@ -15,19 +15,11 @@ uint64_t QueryTrace::OpReads() const {
 }
 
 QueryTrace* CurrentTrace() {
-#ifndef UPI_OBS_DISABLED
   return g_current_trace;
-#else
-  return nullptr;
-#endif
 }
 
 TraceScope::TraceScope(QueryTrace* trace) : prev_(g_current_trace) {
-#ifndef UPI_OBS_DISABLED
   g_current_trace = trace;
-#else
-  (void)trace;
-#endif
 }
 
 TraceScope::~TraceScope() { g_current_trace = prev_; }

@@ -112,9 +112,7 @@ TEST(MetricsTest, RuntimeDisableStopsRecording) {
   g->Set(7.0);
   reg.set_enabled(true);
   c->Add();
-#ifndef UPI_OBS_DISABLED
   EXPECT_EQ(c->value(), 2u);
-#endif
   EXPECT_EQ(h->count(), 0u);
   EXPECT_DOUBLE_EQ(g->value(), 0.0);
 }
@@ -204,9 +202,7 @@ TEST(ObsEngineTest, DatabaseExportsEngineMetricFamilies) {
   for (const HistogramSample& h : snap.histograms) {
     if (h.name == "upi_query_sim_ms") {
       found = true;
-#ifndef UPI_OBS_DISABLED
       EXPECT_GE(h.count, 1u);
-#endif
     }
   }
   EXPECT_TRUE(found);
@@ -364,11 +360,9 @@ TEST(ObsEngineTest, ExplainAnalyzeFracturedPrunedProbe) {
 
   // The pruning counters moved accordingly.
   MetricsSnapshot snap = db.MetricsSnapshot();
-#ifndef UPI_OBS_DISABLED
   EXPECT_GE(snap.Find("upi_pruning_fractures_pruned_total")->value,
             static_cast<double>(pruned_ops));
   EXPECT_GE(snap.Find("upi_pruning_fractures_probed_total")->value, 1.0);
-#endif
 }
 
 TEST(ObsEngineTest, SlowQueryLogFiresAtThresholdOnly) {

@@ -1,8 +1,7 @@
 // Tests for the declarative Query API: Query validation, streaming
 // ResultCursors (early exit = strictly fewer simulated page reads),
 // PreparedQuery plan caching with stats-epoch invalidation (including the
-// maintenance-full-merge plan flip), Session async submission, and the
-// legacy shim equivalence.
+// maintenance-full-merge plan flip), and Session async submission.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -426,41 +425,6 @@ TEST(SessionTest, ManyConcurrentSessionsAgree) {
   EXPECT_LE(pq.plans(), static_cast<uint64_t>(kSessions));
   EXPECT_EQ(pq.plans() + pq.hits(), kSessions * 8u);
 }
-
-// ---------------------------------------------------------------------------
-// Legacy shims (compiled out under -DUPI_NO_LEGACY_QUERY_API)
-// ---------------------------------------------------------------------------
-
-#ifndef UPI_NO_LEGACY_QUERY_API
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(LegacyShimTest, ShimsMatchQueryApiRowsAndSimCost) {
-  QueryFx fx;
-  std::string inst = fx.gen->PopularInstitution();
-  const sim::SimDisk* disk = fx.db.env()->disk();
-
-  fx.db.ColdCache();
-  sim::DiskStats w0 = disk->stats();
-  std::vector<core::PtqMatch> via_shim;
-  ASSERT_TRUE(fx.authors_table->Ptq(inst, 0.2, &via_shim).ok());
-  double shim_ms = (disk->stats() - w0).SimMs(fx.db.params());
-
-  fx.db.ColdCache();
-  w0 = disk->stats();
-  std::vector<core::PtqMatch> via_query;
-  ASSERT_TRUE(fx.authors_table->Run(Query::Ptq(inst, 0.2), &via_query).ok());
-  double query_ms = (disk->stats() - w0).SimMs(fx.db.params());
-
-  EXPECT_EQ(Ids(via_shim), Ids(via_query));
-  EXPECT_DOUBLE_EQ(shim_ms, query_ms);
-
-  std::vector<core::PtqMatch> topk_shim, topk_query;
-  ASSERT_TRUE(fx.authors_table->TopK(inst, 7, &topk_shim).ok());
-  ASSERT_TRUE(fx.authors_table->Run(Query::TopK(inst, 7), &topk_query).ok());
-  EXPECT_EQ(Ids(topk_shim), Ids(topk_query));
-}
-#pragma GCC diagnostic pop
-#endif  // UPI_NO_LEGACY_QUERY_API
 
 }  // namespace
 }  // namespace upi::engine
