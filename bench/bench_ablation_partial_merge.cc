@@ -9,6 +9,7 @@
 // merges until the predicted fracture tax drops below its threshold) —
 // reporting merge cost and the resulting Q1 runtime.
 #include "bench_util.h"
+#include "engine/access_path.h"
 #include "maintenance/manager.h"
 
 using namespace upi;
@@ -46,6 +47,7 @@ int main(int argc, char** argv) {
     core::FracturedUpi fractured(&env, "author",
                                  datagen::DblpGenerator::AuthorSchema(),
                                  AuthorUpiOptions(0.1), {});
+    const engine::FracturedAccessPath fractured_path(&fractured);
     BuildWithDeltas(&fractured, d, 8);
     QueryCost merge_cost{};
     if (std::string(strategy) == "partial4") {
@@ -75,7 +77,7 @@ int main(int argc, char** argv) {
     }
     QueryCost q = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured.QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(fractured_path.QueryPtq(d.popular_institution, qt, &out));
       return out.size();
     });
     std::printf("%-14s %12.1f %9zu %12.3f\n", strategy,

@@ -202,6 +202,7 @@ MergeScheduleRow RunMergeSchedule(const DblpData& d,
   core::FracturedUpi fractured(&env, "author",
                                datagen::DblpGenerator::AuthorSchema(),
                                AuthorUpiOptions(0.1), {});
+  const engine::FracturedAccessPath fractured_path(&fractured);
   CheckOk(fractured.BuildMain(d.authors));
 
   maintenance::MergePolicyOptions policy;
@@ -231,7 +232,7 @@ MergeScheduleRow RunMergeSchedule(const DblpData& d,
     for (int q = 0; q < queries_per_round; ++q) {
       QueryCost cost = RunCold(&env, [&]() -> size_t {
         std::vector<core::PtqMatch> out;
-        CheckOk(fractured.QueryPtq(d.popular_institution, 0.1, &out));
+        CheckOk(fractured_path.QueryPtq(d.popular_institution, 0.1, &out));
         return out.size();
       });
       r.rows += cost.rows;
@@ -319,6 +320,7 @@ ThroughputRow RunThroughput(const DblpData& d,
   core::FracturedUpi fractured(&env, "author",
                                datagen::DblpGenerator::AuthorSchema(),
                                AuthorUpiOptions(0.1), {});
+  const engine::FracturedAccessPath fractured_path(&fractured);
   CheckOk(fractured.BuildMain(d.authors));
 
   maintenance::MergePolicyOptions policy;
@@ -355,7 +357,7 @@ ThroughputRow RunThroughput(const DblpData& d,
         q % 2 == 0 ? d.popular_institution : d.selective_institution;
     QueryCost cost = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured.QueryPtq(value, 0.1, &out));
+      CheckOk(fractured_path.QueryPtq(value, 0.1, &out));
       return out.size();
     });
     r.query_sim_ms += cost.sim_ms;

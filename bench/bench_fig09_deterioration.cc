@@ -8,6 +8,7 @@
 // Fractured UPI ~9x (per-fracture overhead) — but the fractured curve starts
 // and stays far below the others.
 #include "bench_util.h"
+#include "engine/access_path.h"
 
 using namespace upi;
 using namespace upi::bench;
@@ -32,6 +33,7 @@ int main(int argc, char** argv) {
   core::FracturedUpi fractured(&frac_env, "author",
                                datagen::DblpGenerator::AuthorSchema(),
                                AuthorUpiOptions(cutoff), {});
+  const engine::FracturedAccessPath fractured_path(&fractured);
   CheckOk(fractured.BuildMain(d.authors));
 
   std::unordered_map<catalog::TupleId, catalog::Tuple> live;
@@ -53,7 +55,7 @@ int main(int argc, char** argv) {
     });
     QueryCost f = RunCold(&frac_env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured.QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(fractured_path.QueryPtq(d.popular_institution, qt, &out));
       return out.size();
     });
     std::printf("%-7d %15.3f %10.3f %14.3f %7zu\n", batch, h.sim_ms / 1000.0,

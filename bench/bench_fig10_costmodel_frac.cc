@@ -3,6 +3,7 @@
 // Expected shape: runtime climbs linearly with the fracture count, drops back
 // after each merge, and the model tracks the measured curve.
 #include "bench_util.h"
+#include "engine/access_path.h"
 
 using namespace upi;
 using namespace upi::bench;
@@ -18,6 +19,7 @@ int main(int argc, char** argv) {
   core::FracturedUpi fractured(&env, "author",
                                datagen::DblpGenerator::AuthorSchema(),
                                AuthorUpiOptions(cutoff), {});
+  const engine::FracturedAccessPath fractured_path(&fractured);
   CheckOk(fractured.BuildMain(d.authors));
   catalog::TupleId next_id = d.cfg.num_authors + 1;
   // Batches are 10% of the *original* table so 30 batches are tractable.
@@ -34,7 +36,7 @@ int main(int argc, char** argv) {
   auto measure = [&](int batch, const char* event) {
     QueryCost real = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured.QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(fractured_path.QueryPtq(d.popular_institution, qt, &out));
       return out.size();
     });
     core::CostModel model(env.params(), core::TableStats::Of(fractured));

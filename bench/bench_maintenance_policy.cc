@@ -18,6 +18,7 @@
 // never-merge on query tax, every-flush on merge I/O — and a cost-model
 // setting in between wins total simulated time.
 #include "bench_util.h"
+#include "engine/access_path.h"
 #include "maintenance/manager.h"
 
 using namespace upi;
@@ -43,6 +44,7 @@ RunResult RunWorkload(const DblpData& d, maintenance::MergePolicyOptions policy,
   core::FracturedUpi fractured(&env, "author",
                                datagen::DblpGenerator::AuthorSchema(),
                                AuthorUpiOptions(0.1), {});
+  const engine::FracturedAccessPath fractured_path(&fractured);
   CheckOk(fractured.BuildMain(d.authors));
 
   maintenance::MaintenanceManagerOptions mopt;
@@ -70,7 +72,7 @@ RunResult RunWorkload(const DblpData& d, maintenance::MergePolicyOptions policy,
           q % 2 == 0 ? d.popular_institution : d.selective_institution;
       QueryCost cost = RunCold(&env, [&]() -> size_t {
         std::vector<core::PtqMatch> out;
-        CheckOk(fractured.QueryPtq(value, qt, &out));
+        CheckOk(fractured_path.QueryPtq(value, qt, &out));
         return out.size();
       });
       r.query_ms += cost.sim_ms;

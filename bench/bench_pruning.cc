@@ -32,6 +32,7 @@
 
 #include "bench_util.h"
 #include "core/fractured_upi.h"
+#include "engine/access_path.h"
 
 using namespace upi;
 using namespace upi::bench;
@@ -124,6 +125,7 @@ int main(int argc, char** argv) {
     core::FracturedUpi table(&env, "sensors",
                              datagen::DblpGenerator::AuthorSchema(), opt,
                              {kCountry});
+    const engine::FracturedAccessPath path(&table);
     // Main fracture: slots [0, per_frac) at full probability; each delta d
     // covers [d * per_frac, (d+1) * per_frac) with *low-existence* tuples,
     // so every delta's max combined probability stays below 0.30.
@@ -163,7 +165,7 @@ int main(int argc, char** argv) {
     std::vector<Spec> specs = {
         {"point-ptq",
          [&](std::vector<core::PtqMatch>* out) {
-           return table.QueryPtq(point_value, 0.1, out);
+           return path.QueryPtq(point_value, 0.1, out);
          }},
         {"sec-exact",
          [&](std::vector<core::PtqMatch>* out) {
@@ -175,7 +177,7 @@ int main(int argc, char** argv) {
          [&](std::vector<core::PtqMatch>* out) {
            // Threshold above every delta's max existence (0.30): only the
            // main fracture can hold a qualifying row.
-           return table.QueryPtq(main_value, 0.5, out);
+           return path.QueryPtq(main_value, 0.5, out);
          }},
     };
 

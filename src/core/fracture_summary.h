@@ -53,9 +53,10 @@ struct PruneEstimate {
   }
 };
 
-/// Which members of one fan-out to open. Index 0 is the main fracture,
-/// 1..N the delta fractures in list order (the RAM buffer is always
-/// scanned — it has no summary and costs no I/O).
+/// Which members of one fan-out to open: one slot per on-disk fracture, the
+/// main fracture first when one exists, then the delta fractures in list
+/// order (the RAM buffer is always scanned — it has no summary and costs no
+/// I/O).
 struct PruneSet {
   std::vector<bool> probe;
   size_t probed = 0;

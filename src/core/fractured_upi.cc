@@ -41,18 +41,6 @@ Status MergeTrees(const std::vector<const btree::BTree*>& trees,
   return Status::OK();
 }
 
-/// Result order every fan-out delivers: descending confidence, ties by
-/// TupleId — identical across materialized, streamed, and pruned paths.
-void SortByConfidence(std::vector<PtqMatch>* all) {
-  std::sort(all->begin(), all->end(),
-            [](const PtqMatch& a, const PtqMatch& b) {
-              if (a.confidence != b.confidence) {
-                return a.confidence > b.confidence;
-              }
-              return a.id < b.id;
-            });
-}
-
 }  // namespace
 
 FracturedUpi::FracturedUpi(storage::DbEnv* env, std::string name,
@@ -100,13 +88,6 @@ bool FracturedUpi::SkipFracture(const FractureSummary* summary, int column,
   return r != FractureSummary::SkipReason::kNone;
 }
 
-void FracturedUpi::BumpFanout(uint64_t probed, uint64_t pruned) const {
-  fractures_probed_total_.fetch_add(probed, std::memory_order_relaxed);
-  fractures_pruned_total_.fetch_add(pruned, std::memory_order_relaxed);
-  if (m_fractures_probed_ != nullptr) m_fractures_probed_->Add(probed);
-  if (m_fractures_pruned_ != nullptr) m_fractures_pruned_->Add(pruned);
-}
-
 Status FracturedUpi::BuildMain(const std::vector<Tuple>& tuples) {
   std::unique_lock lock(mu_);
   if (main_ != nullptr) return Status::Internal("main fracture already built");
@@ -120,7 +101,7 @@ Status FracturedUpi::BuildMain(const std::vector<Tuple>& tuples) {
 
 Status FracturedUpi::Insert(const Tuple& tuple) {
   std::unique_lock lock(mu_);
-  if (deleted_.contains(tuple.id()) || buffer_deletes_.contains(tuple.id())) {
+  if (IsDeleted(tuple.id())) {
     return Status::InvalidArgument("TupleId reuse after deletion is not allowed");
   }
   std::string buf;
@@ -266,67 +247,75 @@ uint64_t FracturedUpi::size_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// Queries
+// Queries: the RAM buffer, then the one pruned fan-out (Section 4.2)
 // ---------------------------------------------------------------------------
 
-Status FracturedUpi::QueryBuffer(std::string_view value, double qt,
-                                 std::vector<PtqMatch>* out) const {
-  for (const auto& [id, bt] : buffer_) {
-    const Value& cv = bt.tuple.Get(options_.cluster_column);
-    if (cv.type() != ValueType::kDiscrete) continue;
-    double p = cv.discrete().ProbabilityOf(value) * bt.tuple.existence();
-    if (p >= qt && p > 0.0) {
-      out->push_back(PtqMatch{id, p, bt.tuple});
-    }
+const Upi& FracturedUpi::FractureAt(size_t slot) const {
+  if (main_ != nullptr) {
+    if (slot == 0) return *main_;
+    --slot;
   }
-  return Status::OK();
+  return *fractures_[slot];
 }
 
-Status FracturedUpi::QueryBufferSecondary(int column, std::string_view value,
-                                          double qt,
-                                          std::vector<PtqMatch>* out) const {
-  for (const auto& [id, bt] : buffer_) {
-    const Value& sv = bt.tuple.Get(column);
-    if (sv.type() != ValueType::kDiscrete) continue;
-    double p = sv.discrete().ProbabilityOf(value) * bt.tuple.existence();
-    if (p >= qt && p > 0.0) {
-      out->push_back(PtqMatch{id, p, bt.tuple});
+const FractureSummary* FracturedUpi::SummaryAt(size_t slot) const {
+  if (main_ != nullptr) {
+    if (slot == 0) return main_summary_.get();
+    --slot;
+  }
+  return slot < fracture_summaries_.size() ? fracture_summaries_[slot].get()
+                                           : nullptr;
+}
+
+PruneSet FracturedUpi::FanOut(int column, std::string_view value,
+                              double qt) const {
+  PruneSet set;
+  const int col = ResolveColumn(column);
+  const size_t n = FractureCount();
+  set.probe.reserve(n);
+  for (size_t slot = 0; slot < n; ++slot) {
+    const bool skip =
+        qt >= 0.0 && SkipFracture(SummaryAt(slot), col, value, qt);
+    set.probe.push_back(!skip);
+    ++(skip ? set.pruned : set.probed);
+  }
+  return set;
+}
+
+void FracturedUpi::RecordFanout(const PruneSet& fanout) const {
+  if (obs::QueryTrace* trace = obs::CurrentTrace(); trace != nullptr) {
+    for (size_t slot = 0; slot < fanout.probe.size(); ++slot) {
+      if (fanout.probe[slot]) continue;
+      // A pruned fracture is a real plan node with provably-zero actuals.
+      obs::TraceOp op;
+      op.label = FractureAt(slot).name();
+      op.pruned = true;
+      trace->ops.push_back(std::move(op));
     }
   }
-  return Status::OK();
+  fractures_probed_total_.fetch_add(fanout.probed, std::memory_order_relaxed);
+  fractures_pruned_total_.fetch_add(fanout.pruned, std::memory_order_relaxed);
+  if (m_fractures_probed_ != nullptr) m_fractures_probed_->Add(fanout.probed);
+  if (m_fractures_pruned_ != nullptr) m_fractures_pruned_->Add(fanout.pruned);
 }
 
 PruneSet FracturedUpi::ForQuery(int column, std::string_view value,
                                 double qt) const {
   std::shared_lock lock(mu_);
-  PruneSet set;
-  const int col = ResolveColumn(column);
-  auto consider = [&](const FractureSummary* s) {
-    bool skip = SkipFracture(s, col, value, qt);
-    set.probe.push_back(!skip);
-    ++(skip ? set.pruned : set.probed);
-  };
-  if (main_ != nullptr) consider(main_summary_.get());
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    consider(DeltaSummary(i));
-  }
-  return set;
+  return FanOut(column, value, qt);
 }
 
 PruneEstimate FracturedUpi::EstimatePrune(int column, std::string_view value,
                                           double qt) const {
   std::shared_lock lock(mu_);
+  const PruneSet fanout = FanOut(column, value, qt);
   PruneEstimate pe;
-  const int col = ResolveColumn(column);
-  auto consider = [&](const Upi& u, const FractureSummary* s) {
-    ++pe.total_fractures;
-    if (SkipFracture(s, col, value, qt)) return;
-    pe.probed_fractures += 1.0;
-    pe.probed_bytes += u.heap_tree()->size_bytes();
-  };
-  if (main_ != nullptr) consider(*main_, main_summary_.get());
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    consider(*fractures_[i], DeltaSummary(i));
+  pe.total_fractures = static_cast<uint32_t>(fanout.probe.size());
+  pe.probed_fractures = static_cast<double>(fanout.probed);
+  for (size_t slot = 0; slot < fanout.probe.size(); ++slot) {
+    if (fanout.probe[slot]) {
+      pe.probed_bytes += FractureAt(slot).heap_tree()->size_bytes();
+    }
   }
   if (pe.total_fractures == 0) {
     pe.total_fractures = 1;  // an empty table still prices one probe
@@ -335,62 +324,57 @@ PruneEstimate FracturedUpi::EstimatePrune(int column, std::string_view value,
   return pe;
 }
 
+void FracturedUpi::ScanBuffer(int column, std::string_view value, double qt,
+                              std::vector<PtqMatch>* out) const {
+  const int col = ResolveColumn(column);
+  const size_t before = out->size();
+  for (const auto& [id, bt] : buffer_) {
+    const Value& v = bt.tuple.Get(col);
+    if (v.type() != ValueType::kDiscrete) continue;
+    double p = v.discrete().ProbabilityOf(value) * bt.tuple.existence();
+    if (p >= qt && p > 0.0) out->push_back(PtqMatch{id, p, bt.tuple});
+  }
+  TraceBuffer(out->size() - before);
+}
+
+void FracturedUpi::TraceBuffer(uint64_t rows) const {
+  obs::QueryTrace* trace = obs::CurrentTrace();
+  if (trace == nullptr || rows == 0) return;
+  obs::TraceOp op;
+  op.label = name_ + ".buffer";
+  op.rows = rows;  // RAM scan: no I/O by construction
+  trace->ops.push_back(std::move(op));
+}
+
 FracturedPtqCursor FracturedUpi::OpenPtqCursor(std::string_view value,
                                                double qt) const {
   return FracturedPtqCursor(this, value, qt);
-}
-
-Status FracturedUpi::QueryPtq(std::string_view value, double qt,
-                              std::vector<PtqMatch>* out) const {
-  // The fan-out lives in FracturedPtqCursor (which takes the shared lock and
-  // consults the fracture summaries); the materialized query is its fully
-  // drained stream, confidence-sorted.
-  FracturedPtqCursor c = OpenPtqCursor(value, qt);
-  std::vector<PtqMatch> all;
-  PtqMatch m;
-  while (c.Next(&m)) all.push_back(std::move(m));
-  UPI_RETURN_NOT_OK(c.status());
-  SortByConfidence(&all);
-  out->insert(out->end(), std::make_move_iterator(all.begin()),
-              std::make_move_iterator(all.end()));
-  return Status::OK();
 }
 
 Status FracturedUpi::QueryBySecondary(int column, std::string_view value,
                                       double qt, SecondaryAccessMode mode,
                                       std::vector<PtqMatch>* out) const {
   std::shared_lock lock(mu_);
-  std::vector<PtqMatch> all;
-  UPI_RETURN_NOT_OK(QueryBufferSecondary(column, value, qt, &all));
-  size_t probed = 0, pruned = 0;
-  auto query_one = [&](const Upi& upi, const FractureSummary* s) -> Status {
-    // The summary fences cover every secondary alternative, so a fracture
-    // whose zone/Bloom/max-prob summary rules the probe out never opens.
-    if (SkipFracture(s, column, value, qt)) {
-      ++pruned;
-      return Status::OK();
-    }
-    ++probed;
-    upi.heap_file_->ChargeOpen();  // per-fracture Costinit, as in QueryPtq
+  ScanBuffer(column, value, qt, out);
+  // The summary fences cover every secondary alternative, so a fracture
+  // whose zone/Bloom/max-prob summary rules the probe out never opens.
+  const PruneSet fanout = FanOut(column, value, qt);
+  obs::TraceOpScope op_scope;  // re-arms at each fracture boundary
+  for (size_t slot = 0; slot < fanout.probe.size(); ++slot) {
+    if (!fanout.probe[slot]) continue;
+    const Upi& upi = FractureAt(slot);
+    upi.heap_file_->ChargeOpen();  // per-fracture Costinit
     std::vector<PtqMatch> part;
     UPI_RETURN_NOT_OK(upi.QueryBySecondary(column, value, qt, mode, &part));
-    for (auto& m : part) {
-      if (!IsDeleted(m.id) && !buffer_deletes_.contains(m.id)) {
-        all.push_back(std::move(m));
-      }
+    uint64_t rows = 0;
+    for (PtqMatch& m : part) {
+      if (IsDeleted(m.id)) continue;
+      out->push_back(std::move(m));
+      ++rows;
     }
-    return Status::OK();
-  };
-  if (main_ != nullptr) {
-    UPI_RETURN_NOT_OK(query_one(*main_, main_summary_.get()));
+    if (op_scope.active()) op_scope.Finish(upi.name(), rows);
   }
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    UPI_RETURN_NOT_OK(query_one(*fractures_[i], DeltaSummary(i)));
-  }
-  BumpFanout(probed, pruned);
-  SortByConfidence(&all);
-  out->insert(out->end(), std::make_move_iterator(all.begin()),
-              std::make_move_iterator(all.end()));
+  RecordFanout(fanout);
   return Status::OK();
 }
 
@@ -399,8 +383,11 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
   std::shared_lock lock(mu_);
   if (k == 0) return Status::OK();
   std::vector<PtqMatch> all;
-  // Buffer candidates compete at any confidence (no threshold in top-k).
-  UPI_RETURN_NOT_OK(QueryBuffer(value, 0.0, &all));
+  // Buffer candidates compete at any confidence (no threshold in top-k),
+  // and at qt = 0 the shared decision skips only fractures that cannot
+  // contain `value` at all.
+  ScanBuffer(-1, value, 0.0, &all);
+  PruneSet fanout = FanOut(-1, value, 0.0);
   const int col = options_.cluster_column;
   // Running k-th-best bound: a min-heap of the k highest confidences seen so
   // far. A later fracture must beat heap.top() to change the answer.
@@ -414,41 +401,40 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
     }
   };
   for (const PtqMatch& m : all) note(m.confidence);
-  size_t probed = 0, pruned = 0;
-  auto topk_one = [&](const Upi& upi, const FractureSummary* s) -> Status {
-    if (options_.enable_pruning && s != nullptr) {
-      // Skip when the value cannot be present, or — strictly — when no
-      // alternative can beat the current k-th score (a tie could still win
-      // its id tie-break, so equality must probe).
-      if (!s->MayContainKey(col, value) ||
-          (best.size() >= k && s->MaxProb(col) < best.top())) {
-        ++pruned;
-        return Status::OK();
-      }
+  obs::TraceOpScope op_scope;  // re-arms at each fracture boundary
+  for (size_t slot = 0; slot < fanout.probe.size(); ++slot) {
+    if (!fanout.probe[slot]) continue;
+    // The one dynamic skip: no alternative can beat the current k-th score
+    // (strictly — a tie could still win its id tie-break, so equality must
+    // probe).
+    const FractureSummary* s = SummaryAt(slot);
+    if (options_.enable_pruning && s != nullptr && best.size() >= k &&
+        s->MaxProb(col) < best.top()) {
+      fanout.probe[slot] = false;
+      --fanout.probed;
+      ++fanout.pruned;
+      continue;
     }
-    ++probed;
+    const Upi& upi = FractureAt(slot);
     // Per-fracture Costinit: heap now, the cutoff index if (and when) the
     // stream actually consults it.
     upi.heap_file_->ChargeOpen();
     UpiPtqCursor c = upi.OpenTopKCursor(value, /*charge_open_on_consult=*/true);
     PtqMatch m;
-    size_t got = 0;
+    uint64_t got = 0;
     // k surviving rows per fracture suffice: the global top-k is contained
     // in the union of per-fracture (delete-filtered) top-k streams.
     while (got < k && c.Next(&m)) {
-      if (IsDeleted(m.id) || buffer_deletes_.contains(m.id)) continue;
+      if (IsDeleted(m.id)) continue;
       note(m.confidence);
       all.push_back(std::move(m));
       ++got;
     }
-    return c.status();
-  };
-  if (main_ != nullptr) UPI_RETURN_NOT_OK(topk_one(*main_, main_summary_.get()));
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    UPI_RETURN_NOT_OK(topk_one(*fractures_[i], DeltaSummary(i)));
+    UPI_RETURN_NOT_OK(c.status());
+    if (op_scope.active()) op_scope.Finish(upi.name(), got);
   }
-  BumpFanout(probed, pruned);
-  SortByConfidence(&all);
+  RecordFanout(fanout);
+  SortByConfidenceDesc(&all);
   if (all.size() > k) all.resize(k);
   out->insert(out->end(), std::make_move_iterator(all.begin()),
               std::make_move_iterator(all.end()));
@@ -456,21 +442,10 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
 }
 
 Status FracturedUpi::ScanTuples(
-    const std::function<void(const catalog::Tuple&)>& fn) const {
-  // No filter, no pruning: every fracture can hold live tuples.
-  return ScanTuplesMatching(/*column=*/-1, std::string_view(), /*qt=*/-1.0,
-                            fn);
-}
-
-Status FracturedUpi::ScanTuplesMatching(
     int column, std::string_view value, double qt,
     const std::function<void(const catalog::Tuple&)>& fn) const {
   std::shared_lock lock(mu_);
-  // qt < 0 marks the unfiltered sweep (ScanTuples): nothing can be pruned.
-  const bool filtered = qt >= 0.0;
-  const int col = ResolveColumn(column);
   std::set<catalog::TupleId> seen;
-  obs::QueryTrace* trace = obs::CurrentTrace();
   // The RAM buffer first: its tuples shadow nothing (TupleIds are unique),
   // and emitting them costs no I/O. It has no summary, so it is never
   // pruned — the scan-filter caller re-checks the predicate anyway.
@@ -478,31 +453,15 @@ Status FracturedUpi::ScanTuplesMatching(
     seen.insert(id);
     fn(bt.tuple);
   }
-  if (trace != nullptr && !buffer_.empty()) {
-    obs::TraceOp op;
-    op.label = name_ + ".buffer";
-    op.rows = buffer_.size();  // RAM scan: no I/O by construction
-    trace->ops.push_back(std::move(op));
-  }
+  TraceBuffer(buffer_.size());
+  const PruneSet fanout = FanOut(column, value, qt);
   Status st = Status::OK();
-  size_t probed = 0, pruned = 0;
-  obs::TraceOpScope op_scope;  // one re-arming scope spans the fan-out
-  auto scan_one = [&](const Upi& upi, const FractureSummary* s) {
-    // A fracture that cannot contain a qualifying (value, qt) alternative
-    // contributes nothing to a filtered sweep: skip it, zero pages read.
-    if (filtered && SkipFracture(s, col, value, qt)) {
-      ++pruned;
-      if (trace != nullptr) {
-        obs::TraceOp op;
-        op.label = upi.name();
-        op.pruned = true;
-        trace->ops.push_back(std::move(op));
-      }
-      return;
-    }
-    ++probed;
+  obs::TraceOpScope op_scope;  // re-arms at each fracture boundary
+  for (size_t slot = 0; slot < fanout.probe.size() && st.ok(); ++slot) {
+    if (!fanout.probe[slot]) continue;
+    const Upi& upi = FractureAt(slot);
     uint64_t emitted = 0;
-    upi.heap_file_->ChargeOpen();  // per-fracture Costinit, as in QueryPtq
+    upi.heap_file_->ChargeOpen();  // per-fracture Costinit
     upi.ScanHeap([&](std::string_view key, std::string_view tuple_bytes) {
       if (!st.ok()) return;
       UpiKey k;
@@ -511,10 +470,8 @@ Status FracturedUpi::ScanTuplesMatching(
         st = dst;
         return;
       }
-      // The heap duplicates a tuple per qualifying alternative; report once,
-      // and apply both the flushed and the still-buffered delete sets.
-      if (IsDeleted(k.id) || buffer_deletes_.contains(k.id)) return;
-      if (!seen.insert(k.id).second) return;
+      // The heap duplicates a tuple per qualifying alternative: report once.
+      if (IsDeleted(k.id) || !seen.insert(k.id).second) return;
       auto tuple = catalog::Tuple::Deserialize(tuple_bytes);
       if (!tuple.ok()) {
         st = tuple.status();
@@ -524,13 +481,9 @@ Status FracturedUpi::ScanTuplesMatching(
       ++emitted;
     });
     if (op_scope.active()) op_scope.Finish(upi.name(), emitted);
-  };
-  if (main_ != nullptr) scan_one(*main_, main_summary_.get());
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    if (!st.ok()) break;
-    scan_one(*fractures_[i], DeltaSummary(i));
   }
-  if (filtered) BumpFanout(probed, pruned);
+  // The unfiltered sweep (qt < 0) is no probe: it moves no fan-out counter.
+  if (qt >= 0.0) RecordFanout(fanout);
   return st;
 }
 
@@ -543,40 +496,9 @@ FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
     : lock_(table->mu_), table_(table), value_(value), qt_(qt) {
   // The RAM buffer's matches are collected eagerly — they cost no I/O and
   // stream first.
-  status_ = table_->QueryBuffer(value_, qt_, &buffer_rows_);
-  const int col = table_->options_.cluster_column;
-  obs::QueryTrace* trace = obs::CurrentTrace();
-  auto consider = [&](const Upi* u, const FractureSummary* s) {
-    if (table_->SkipFracture(s, col, value_, qt_)) {
-      ++pruned_;
-      if (trace != nullptr) {
-        // A pruned fracture is a real plan node with provably-zero actuals.
-        obs::TraceOp op;
-        op.label = u->name();
-        op.pruned = true;
-        trace->ops.push_back(std::move(op));
-      }
-    } else {
-      pending_.push_back(u);
-    }
-  };
-  if (table_->main_ != nullptr) {
-    consider(table_->main_.get(), table_->main_summary_.get());
-  }
-  for (size_t i = 0; i < table_->fractures_.size(); ++i) {
-    consider(table_->fractures_[i].get(), table_->DeltaSummary(i));
-  }
-  table_->BumpFanout(pending_.size(), pruned_);
-  if (trace != nullptr && !buffer_rows_.empty()) {
-    obs::TraceOp op;
-    op.label = table_->name_ + ".buffer";
-    op.rows = buffer_rows_.size();  // RAM scan: no I/O by construction
-    trace->ops.push_back(std::move(op));
-  }
-}
-
-bool FracturedPtqCursor::Deleted(catalog::TupleId id) const {
-  return table_->IsDeleted(id) || table_->buffer_deletes_.contains(id);
+  table_->ScanBuffer(-1, value_, qt_, &buffer_rows_);
+  fanout_ = table_->FanOut(-1, value_, qt_);
+  table_->RecordFanout(fanout_);
 }
 
 bool FracturedPtqCursor::Next(PtqMatch* out) {
@@ -587,8 +509,11 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
   }
   for (;;) {
     if (!cur_.has_value()) {
-      if (next_fracture_ >= pending_.size()) return false;
-      const Upi* u = pending_[next_fracture_++];
+      while (next_slot_ < fanout_.probe.size() && !fanout_.probe[next_slot_]) {
+        ++next_slot_;
+      }
+      if (next_slot_ >= fanout_.probe.size()) return false;
+      const Upi* u = &table_->FractureAt(next_slot_++);
       // Opening the fracture is where its Costinit lands (the Section 6.2
       // Nfrac term): heap file now, cutoff file when the stream actually
       // consults it (qt < C and the consumer drains past the heap phase).
@@ -601,7 +526,7 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
     }
     PtqMatch m;
     while (cur_->Next(&m)) {
-      if (Deleted(m.id)) continue;
+      if (table_->IsDeleted(m.id)) continue;
       *out = std::move(m);
       ++cur_rows_;
       return true;
@@ -853,7 +778,7 @@ Status FracturedUpi::MergeAll() {
     std::unique_lock lock(mu_);
     main_ = std::move(merged);
     main_summary_ = std::move(merged_summary);
-    // The summary list is parallel to the fracture list (DeltaSummary pairs
+    // The summary list is parallel to the fracture list (SummaryAt pairs
     // them by index); a drifted pair would mis-prune and silently drop rows,
     // so fail fast instead.
     UPI_CHECK(fracture_summaries_.size() == fractures_.size(),

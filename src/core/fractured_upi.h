@@ -9,10 +9,12 @@
 // what keeps maintenance cost near an append-only heap (Table 7) and
 // eliminates fragmentation (Figure 9).
 //
-// Queries fan out to the buffer, the main fracture and every delta fracture,
-// union the results, and subtract delete sets (Section 4.2). Each fracture
-// costs an extra Costinit + H seeks, the linear-in-Nfrac overhead the
-// Section 6.2 cost model captures and MergeAll() (Section 4.3) repays.
+// Queries scan the RAM buffer, fan out to the main fracture and every delta
+// fracture, union the results, and subtract delete sets (Section 4.2). Each
+// probed fracture costs an extra Costinit + H seeks, the linear-in-Nfrac
+// overhead the Section 6.2 cost model captures and MergeAll() (Section 4.3)
+// repays. Every probe kind shares one fan-out decision: the per-fracture
+// summaries (core/fracture_summary.h) skip fractures that cannot match.
 //
 // Per-fracture tuning: each flush snapshots the current UpiOptions, so the
 // cutoff threshold or pointer limit can differ between fractures (the paper's
@@ -52,14 +54,13 @@ namespace upi::core {
 class FracturedUpi;
 
 /// Pull-based streaming PTQ over a Fractured UPI: the pruned fan-out,
-/// executed lazily. Construction scans the RAM buffer (free) and prunes the
-/// fracture list through the table's FractureSummaries; each surviving
-/// fracture is opened — Costinit charged, cursor seeked — only when the
-/// consumer drains into it, so a LIMIT consumer that stops early never pays
-/// for the fractures behind it, and a pruned fracture costs zero simulated
-/// pages. Delete sets are applied per row. Fully drained, the access
-/// sequence is identical to FracturedUpi::QueryPtq (which is implemented as
-/// this cursor, drained and confidence-sorted).
+/// executed lazily. Construction scans the RAM buffer (free) and takes the
+/// table's fan-out decision; each admitted fracture is opened — Costinit
+/// charged, cursor seeked — only when the consumer drains into it, so a
+/// LIMIT consumer that stops early never pays for the fractures behind it,
+/// and a pruned fracture costs zero simulated pages. Delete sets are applied
+/// per row. Rows stream buffer first, then fracture by fracture in storage
+/// order; engine::AccessPath::QueryPtq is this cursor drained and sorted.
 ///
 /// Holds the table's shared lock for its lifetime: results stay consistent
 /// while background maintenance runs, but a flush/merge *install* (and any
@@ -78,15 +79,13 @@ class FracturedPtqCursor {
 
   /// Fan-out telemetry: fractures this cursor will open at most / skipped
   /// via summaries (fixed at construction).
-  size_t fractures_probed() const { return pending_.size(); }
-  size_t fractures_pruned() const { return pruned_; }
+  size_t fractures_probed() const { return fanout_.probed; }
+  size_t fractures_pruned() const { return fanout_.pruned; }
 
  private:
   friend class FracturedUpi;
   FracturedPtqCursor(const FracturedUpi* table, std::string_view value,
                      double qt);
-
-  bool Deleted(catalog::TupleId id) const;
 
   std::shared_lock<sync::SharedMutex> lock_;
   const FracturedUpi* table_;
@@ -94,9 +93,8 @@ class FracturedPtqCursor {
   double qt_ = 0.0;
   std::vector<PtqMatch> buffer_rows_;
   size_t buf_idx_ = 0;
-  std::vector<const Upi*> pending_;  // post-pruning fan-out, opened lazily
-  size_t next_fracture_ = 0;
-  size_t pruned_ = 0;
+  PruneSet fanout_;       // the table's fan-out decision, opened lazily
+  size_t next_slot_ = 0;  // next fan-out slot to consider
   std::optional<UpiPtqCursor> cur_;
   Status status_;
   // Per-fracture trace attribution (inert when no QueryTrace is installed):
@@ -164,53 +162,54 @@ class FracturedUpi {
     maintenance_hook_ = std::move(hook);
   }
 
-  /// Algorithm 2 across buffer + every fracture, delete-sets applied.
-  /// Results sorted by descending confidence.
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<PtqMatch>* out) const;
+  // --- Probes -------------------------------------------------------------
+  //
+  // Every probe reads the RAM buffer first (no I/O), then the fractures the
+  // table's one fan-out decision admits for its (column, value, qt) — main
+  // first, then the deltas in list order — charging each opened fracture's
+  // Costinit, and drops rows in the flushed or buffered delete sets. Under
+  // a QueryTrace each probed fracture becomes one TraceOp and each pruned
+  // one a zero-I/O [pruned] TraceOp; each probe moves the fan-out counters
+  // once. Rows are identical with pruning on or off.
 
-  /// Secondary-index query across buffer + every fracture.
+  /// Streaming PTQ on the clustered attribute (Algorithm 2 per fracture),
+  /// fractures opened lazily; see FracturedPtqCursor for ordering and the
+  /// lock-lifetime contract.
+  FracturedPtqCursor OpenPtqCursor(std::string_view value, double qt) const;
+
+  /// Secondary-index probe on `column` (Algorithm 3 per fracture when
+  /// tailored). Appends rows in no particular order.
   Status QueryBySecondary(int column, std::string_view value, double qt,
                           SecondaryAccessMode mode,
                           std::vector<PtqMatch>* out) const;
 
-  /// Direct top-k on the clustered attribute across buffer + every fracture:
-  /// each probed fracture contributes its first k surviving (non-deleted)
-  /// rows off a top-k cursor; the union is confidence-sorted (ties by
-  /// TupleId) and truncated to k. Keeps a running k-th-score bound and —
-  /// when pruning is enabled — skips fractures whose summary max probability
-  /// cannot beat it, as well as fractures that cannot contain `value` at
-  /// all. The bound only ever skips fractures that cannot change the answer,
-  /// so rows are identical with pruning on or off.
+  /// Direct top-k on the clustered attribute: each probed fracture
+  /// contributes its first k surviving rows off a top-k cursor; the union
+  /// is appended best first (SortByConfidenceDesc order), truncated to k.
+  /// On top of the shared decision it keeps a running k-th-score bound and,
+  /// when pruning is enabled, skips a fracture whose summary max
+  /// probability cannot beat it — only fractures that cannot change the
+  /// answer.
   Status QueryTopK(std::string_view value, size_t k,
                    std::vector<PtqMatch>* out) const;
 
-  /// Streaming PTQ: the pruned fan-out executed lazily (see
-  /// FracturedPtqCursor for ordering and the lock-lifetime contract).
-  FracturedPtqCursor OpenPtqCursor(std::string_view value, double qt) const;
-
-  /// Full sequential sweep: RAM-buffered tuples first (no I/O), then main +
-  /// every delta fracture in order, deduplicated by TupleId with delete sets
-  /// applied — `fn` runs exactly once per live tuple. Charges each fracture's
-  /// per-file Costinit like every other fractured read.
-  Status ScanTuples(const std::function<void(const catalog::Tuple&)>& fn) const;
-
-  /// ScanTuples for a scan-filter on (column, value, qt): identical
-  /// semantics over the tuples that could match, but fractures whose
-  /// summary proves they cannot contain a qualifying alternative are
-  /// skipped without any I/O. column < 0 means the clustered attribute.
-  Status ScanTuplesMatching(
-      int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const;
+  /// Full sequential sweep, deduplicated by TupleId: `fn` runs exactly once
+  /// per live tuple of every scanned fracture and for every buffered tuple.
+  /// A scan-filter passes its (column, value, qt) so fractures whose summary
+  /// proves they hold no qualifying alternative are skipped; the caller
+  /// re-checks each tuple. qt < 0 sweeps every fracture and moves no fan-out
+  /// counter. column < 0 means the clustered attribute.
+  Status ScanTuples(int column, std::string_view value, double qt,
+                    const std::function<void(const catalog::Tuple&)>& fn) const;
 
   // --- Fracture pruning (see core/fracture_summary.h) ---------------------
 
-  /// The prune decision a query fan-out on (column, value, qt) would make
-  /// right now, one slot per on-disk fracture in fan-out order: the main
-  /// fracture first *when one exists*, then the deltas in list order (a
-  /// table grown purely from flushes has no main slot). column < 0 means
-  /// the clustered attribute. Respects options().enable_pruning
-  /// (everything probed when disabled).
+  /// The fan-out decision a probe on (column, value, qt) would make right
+  /// now, one slot per on-disk fracture in fan-out order: the main fracture
+  /// first *when one exists*, then the deltas in list order (a table grown
+  /// purely from flushes has no main slot). column < 0 means the clustered
+  /// attribute. Respects options().enable_pruning (everything probed when
+  /// disabled). Records nothing.
   PruneSet ForQuery(int column, std::string_view value, double qt) const;
 
   /// Planner-facing expectation for the same decision: fracture count plus
@@ -243,7 +242,7 @@ class FracturedUpi {
   /// Nfrac).
   size_t num_fractures() const {
     std::shared_lock lock(mu_);
-    return (main_ != nullptr ? 1 : 0) + fractures_.size();
+    return FractureCount();
   }
   size_t buffered_inserts() const {
     std::shared_lock lock(mu_);
@@ -307,7 +306,11 @@ class FracturedUpi {
     if (maintenance_hook_) maintenance_hook_(event, merge_count);
   }
 
-  bool IsDeleted(catalog::TupleId id) const { return deleted_.contains(id); }
+  /// True when `id` is in a flushed or a still-buffered delete set. Caller
+  /// holds at least the shared lock.
+  bool IsDeleted(catalog::TupleId id) const {
+    return deleted_.contains(id) || buffer_deletes_.contains(id);
+  }
   void RetuneFromBuffer();
   /// FlushBuffer body; caller holds the exclusive lock.
   Status FlushBufferLocked();
@@ -317,20 +320,29 @@ class FracturedUpi {
   /// disabled or the summary is missing.
   bool SkipFracture(const FractureSummary* summary, int column,
                     std::string_view value, double qt) const;
-  /// Adds one fan-out's probe/prune counts to the table atomics and the
-  /// engine-wide registry counters.
-  void BumpFanout(uint64_t probed, uint64_t pruned) const;
+  /// The one fan-out decision: which on-disk fractures a probe on (column,
+  /// value, qt) opens, one slot per fracture in fan-out order (see
+  /// ForQuery). qt < 0 is the unfiltered sweep and admits every fracture.
+  /// Caller holds at least the shared lock. No I/O, records nothing.
+  PruneSet FanOut(int column, std::string_view value, double qt) const;
+  /// Books an executed fan-out: one zero-I/O [pruned] TraceOp per skipped
+  /// slot on the current trace, and its probe/prune counts added once to
+  /// the table atomics and the engine-wide registry counters.
+  void RecordFanout(const PruneSet& fanout) const;
   /// Maps the query convention (column < 0 = clustered attribute) to a
   /// concrete schema column.
   int ResolveColumn(int column) const {
     return column < 0 ? options_.cluster_column : column;
   }
-  /// Delta fracture i's summary, nullptr when absent. Caller holds at least
-  /// the shared lock.
-  const FractureSummary* DeltaSummary(size_t i) const {
-    return i < fracture_summaries_.size() ? fracture_summaries_[i].get()
-                                          : nullptr;
+  /// On-disk fractures, main included. Caller holds at least the shared
+  /// lock.
+  size_t FractureCount() const {
+    return (main_ != nullptr ? 1 : 0) + fractures_.size();
   }
+  /// The fracture in fan-out slot `slot` and its summary (nullptr when
+  /// absent). Caller holds at least the shared lock.
+  const Upi& FractureAt(size_t slot) const;
+  const FractureSummary* SummaryAt(size_t slot) const;
   /// Builds the summary of a fracture about to be flushed/bulk-built: every
   /// clustered-column alternative (heap *and* cutoff — both are reachable by
   /// queries), every secondary-column alternative, every TupleId.
@@ -346,10 +358,13 @@ class FracturedUpi {
                                          std::set<catalog::TupleId>* filtered_ids,
                                          std::shared_ptr<const FractureSummary>*
                                              summary_out);
-  Status QueryBuffer(std::string_view value, double qt,
-                     std::vector<PtqMatch>* out) const;
-  Status QueryBufferSecondary(int column, std::string_view value, double qt,
-                              std::vector<PtqMatch>* out) const;
+  /// Appends the RAM buffer's matches of (column, value, qt) — column < 0
+  /// is the clustered attribute — and traces them as one zero-I/O op.
+  void ScanBuffer(int column, std::string_view value, double qt,
+                  std::vector<PtqMatch>* out) const;
+  /// Appends the RAM buffer's TraceOp (`rows` rows, no I/O) to the current
+  /// trace, if any, when `rows` > 0.
+  void TraceBuffer(uint64_t rows) const;
   /// Writes `ids` sequentially to a fresh delete-set file (cost accounting).
   void PersistDeleteSet(const std::string& name,
                         const std::vector<catalog::TupleId>& ids);

@@ -11,6 +11,16 @@ using catalog::TupleId;
 using catalog::Value;
 using catalog::ValueType;
 
+void SortByConfidenceDesc(std::vector<PtqMatch>* matches) {
+  std::sort(matches->begin(), matches->end(),
+            [](const PtqMatch& a, const PtqMatch& b) {
+              if (a.confidence != b.confidence) {
+                return a.confidence > b.confidence;
+              }
+              return a.id < b.id;
+            });
+}
+
 Upi::Upi(storage::DbEnv* env, std::string name, catalog::Schema schema,
          UpiOptions options)
     : env_(env),

@@ -64,6 +64,10 @@ struct PtqMatch {
   catalog::Tuple tuple;
 };
 
+/// The result order every query layer delivers: descending confidence, ties
+/// by ascending TupleId.
+void SortByConfidenceDesc(std::vector<PtqMatch>* matches);
+
 /// How a query uses secondary-index pointers (Figure 6's three curves are
 /// PII-on-heap vs. these two modes).
 enum class SecondaryAccessMode {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "exec/ptq.h"
-
 namespace upi::engine {
 
 namespace {
@@ -109,7 +107,7 @@ Status AccessPath::Drain(std::unique_ptr<ResultCursor> cursor, size_t limit,
   core::PtqMatch m;
   while (cursor->TakeNext(&m)) rows.push_back(std::move(m));
   UPI_RETURN_NOT_OK(cursor->status());
-  exec::SortByConfidenceDesc(&rows);
+  core::SortByConfidenceDesc(&rows);
   out->insert(out->end(), std::make_move_iterator(rows.begin()),
               std::make_move_iterator(rows.end()));
   return Status::OK();
@@ -304,7 +302,7 @@ std::unique_ptr<ResultCursor> FracturedAccessPath::OpenSecondaryStream(
 Status FracturedAccessPath::ScanTuples(
     int column, std::string_view value, double qt,
     const std::function<void(const catalog::Tuple&)>& fn) const {
-  return table_->ScanTuplesMatching(column, value, qt, fn);
+  return table_->ScanTuples(column, value, qt, fn);
 }
 
 bool FracturedAccessPath::HasSecondary(int column) const {

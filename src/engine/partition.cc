@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "exec/gather.h"
-#include "exec/ptq.h"
 #include "obs/trace.h"
 
 namespace upi::engine {
@@ -406,6 +405,13 @@ bool PartitionedTable::Admissible(size_t i, int column, std::string_view value,
   return shards_[i]->summary.MayMatch(column, value, qt);
 }
 
+void PartitionedTable::BumpFanout(uint64_t probed, uint64_t pruned) const {
+  shards_probed_total_.fetch_add(probed, std::memory_order_relaxed);
+  shards_pruned_total_.fetch_add(pruned, std::memory_order_relaxed);
+  if (m_shards_probed_ != nullptr) m_shards_probed_->Add(probed);
+  if (m_shards_pruned_ != nullptr) m_shards_pruned_->Add(pruned);
+}
+
 Status PartitionedTable::Scatter(
     int column, std::string_view value, double qt, const char* op,
     const std::function<Status(const Shard&, std::vector<core::PtqMatch>*)>&
@@ -471,10 +477,7 @@ Status PartitionedTable::Scatter(
       trace->ops.push_back(std::move(top));
     }
   }
-  shards_probed_total_.fetch_add(probed, std::memory_order_relaxed);
-  shards_pruned_total_.fetch_add(n - probed, std::memory_order_relaxed);
-  if (m_shards_probed_ != nullptr) m_shards_probed_->Add(probed);
-  if (m_shards_pruned_ != nullptr) m_shards_pruned_->Add(n - probed);
+  BumpFanout(probed, n - probed);
   return st;
 }
 
@@ -534,7 +537,7 @@ std::unique_ptr<ResultCursor> PartitionedTable::OpenTopKStream(
             },
             &runs));
         GatherRuns(&runs, out);
-        exec::SortByConfidenceDesc(out);
+        core::SortByConfidenceDesc(out);
         if (out->size() > k) out->resize(k);
         return Status::OK();
       },
@@ -571,15 +574,7 @@ Status PartitionedTable::ScanTuples(
     ++probed;
     UPI_RETURN_NOT_OK(shards_[i]->path->ScanTuples(column, value, qt, fn));
   }
-  if (filtered) {
-    shards_probed_total_.fetch_add(probed, std::memory_order_relaxed);
-    shards_pruned_total_.fetch_add(shards_.size() - probed,
-                                   std::memory_order_relaxed);
-    if (m_shards_probed_ != nullptr) m_shards_probed_->Add(probed);
-    if (m_shards_pruned_ != nullptr) {
-      m_shards_pruned_->Add(shards_.size() - probed);
-    }
-  }
+  if (filtered) BumpFanout(probed, shards_.size() - probed);
   return Status::OK();
 }
 

@@ -316,6 +316,9 @@ class PartitionedTable : public AccessPath {
       const std::function<Status(const Shard&, std::vector<core::PtqMatch>*)>&
           probe,
       std::vector<ShardRun>* runs) const;
+  /// Adds one fan-out's shard probe/prune counts to the table atomics and
+  /// the engine-wide registry counters.
+  void BumpFanout(uint64_t probed, uint64_t pruned) const;
   /// Appends every shard run's rows to `out`.
   static void GatherRuns(std::vector<ShardRun>* runs,
                          std::vector<core::PtqMatch>* out);

@@ -13,7 +13,6 @@
 #include "engine/planner.h"
 #include "exec/cursor.h"
 #include "exec/operators.h"
-#include "exec/ptq.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "sim/sim_disk.h"
@@ -218,7 +217,9 @@ bool RowsCursor::Produce(core::PtqMatch* out) {
     rows_.clear();
     status_ = probe_(want_, &rows_);
     if (!status_.ok() || idx_ >= rows_.size()) return false;
-    exec::SortByConfidenceDesc(&rows_);
+    // A k-bounded probe sorted its rows to truncate them; only unbounded
+    // probes hand them over in storage order.
+    if (!k_bounded_) core::SortByConfidenceDesc(&rows_);
   }
   *out = std::move(rows_[idx_++]);
   return true;

@@ -177,7 +177,10 @@ class ResultCursor {
 
 /// Serves, best first (confidence descending, ties by TupleId), the rows of
 /// one probe call made at the first pull. A `k_bounded` probe (a top-k with
-/// no stream of its own) takes the consumer's limit as its k. When the
+/// no stream of its own) takes the consumer's limit as its k and must return
+/// its rows already best first (core::SortByConfidenceDesc order): every
+/// such probe sorts or reads index order to truncate, so this cursor does
+/// not sort them again; unbounded probes' rows are sorted here. When the
 /// consumer pulls past a full run — its residual predicate rejected rows —
 /// the probe is repeated with twice the bound and only the new tail is
 /// served. Each run is the exact top-k under that total order, so a run's

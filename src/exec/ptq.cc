@@ -5,14 +5,6 @@
 
 namespace upi::exec {
 
-void SortByConfidenceDesc(std::vector<core::PtqMatch>* matches) {
-  std::sort(matches->begin(), matches->end(),
-            [](const core::PtqMatch& a, const core::PtqMatch& b) {
-              if (a.confidence != b.confidence) return a.confidence > b.confidence;
-              return a.id < b.id;
-            });
-}
-
 void FilterByThreshold(std::vector<core::PtqMatch>* matches, double qt) {
   matches->erase(std::remove_if(matches->begin(), matches->end(),
                                 [qt](const core::PtqMatch& m) {

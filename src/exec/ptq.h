@@ -8,9 +8,6 @@
 
 namespace upi::exec {
 
-/// Sorts matches by descending confidence (ties by TupleId).
-void SortByConfidenceDesc(std::vector<core::PtqMatch>* matches);
-
 /// Drops matches below the threshold (defensive re-filter for union paths).
 void FilterByThreshold(std::vector<core::PtqMatch>* matches, double qt);
 

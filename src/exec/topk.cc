@@ -2,14 +2,7 @@
 
 #include <algorithm>
 
-#include "exec/ptq.h"
-
 namespace upi::exec {
-
-Status TopKDirect(const engine::AccessPath& path, std::string_view value,
-                  size_t k, std::vector<core::PtqMatch>* out) {
-  return path.QueryTopK(value, k, out);
-}
 
 Status TopKByDecreasingThreshold(const engine::AccessPath& path,
                                  std::string_view value, size_t k,
@@ -22,7 +15,7 @@ Status TopKByDecreasingThreshold(const engine::AccessPath& path,
     UPI_RETURN_NOT_OK(path.QueryPtq(value, qt, &matches));
     ++used;
     if (matches.size() >= k || qt <= 1e-6) {
-      SortByConfidenceDesc(&matches);
+      core::SortByConfidenceDesc(&matches);
       if (matches.size() > k) matches.resize(k);
       *out = std::move(matches);
       if (rounds != nullptr) *rounds = used;

@@ -2,10 +2,10 @@
 //
 // Because the UPI clusters each value's entries in descending probability,
 // it serves as an efficient Tuple Access Layer (Soliman et al. [14]): top-k
-// needs only the first k entries. Section 9 sketches two TAL strategies for
-// engines that only expose threshold queries; both are implemented here over
-// the engine's AccessPath abstraction, so they run unchanged against a plain
-// UPI, a Fractured UPI, or the PII baseline:
+// needs only the first k entries (AccessPath::QueryTopK). Section 9 sketches
+// two TAL strategies for engines that only expose threshold queries; both are
+// implemented here over the engine's AccessPath abstraction, so they run
+// unchanged against a plain UPI, a Fractured UPI, or the PII baseline:
 //  * estimate a minimum probability and issue one PTQ with it;
 //  * issue PTQs with geometrically decreasing thresholds until k results.
 #pragma once
@@ -16,11 +16,6 @@
 #include "engine/access_path.h"
 
 namespace upi::exec {
-
-/// Direct top-k through the path's early-terminating cursor. NotSupported
-/// when Stats().supports_direct_topk is false.
-Status TopKDirect(const engine::AccessPath& path, std::string_view value,
-                  size_t k, std::vector<core::PtqMatch>* out);
 
 /// Section 9, second approach: "access UPI a few times with decreasing
 /// probability thresholds until the answer is produced." Returns the number

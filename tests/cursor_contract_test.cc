@@ -16,7 +16,6 @@
 #include "engine/database.h"
 #include "exec/cursor.h"
 #include "exec/operators.h"
-#include "exec/ptq.h"
 
 namespace upi::engine {
 namespace {
@@ -101,7 +100,7 @@ std::vector<core::PtqMatch> Oracle(const std::map<catalog::TupleId, Tuple>& live
     if (where && !KeepRow(t)) continue;
     rows.push_back(core::PtqMatch{id, conf, t});
   }
-  exec::SortByConfidenceDesc(&rows);
+  core::SortByConfidenceDesc(&rows);
   return rows;
 }
 
@@ -193,7 +192,7 @@ void CheckSubject(const Subject& s, const ContractFx& fx) {
       while (cursor->TakeNext(&m)) drained.push_back(std::move(m));
       ASSERT_TRUE(cursor->status().ok()) << cursor->status().ToString();
       const double cursor_ms = (disk->stats() - w0).SimMs(disk->params());
-      exec::SortByConfidenceDesc(&drained);
+      core::SortByConfidenceDesc(&drained);
 
       size_t want = oracle.size();
       if (topk) want = std::min(want, plan.k);

@@ -12,7 +12,6 @@
 #include "engine/database.h"
 #include "engine/planner.h"
 #include "exec/operators.h"
-#include "exec/ptq.h"
 #include "sim/sim_disk.h"
 
 namespace upi::engine {
@@ -326,7 +325,7 @@ TEST(RunBatchTest, AmortizesRepeatedProbesOnAFracturedTable) {
   // And the rows must match the per-probe results exactly.
   ASSERT_EQ(batched.size(), probes.size());
   for (size_t i = 0; i < probes.size(); ++i) {
-    exec::SortByConfidenceDesc(&solo[i]);
+    core::SortByConfidenceDesc(&solo[i]);
     ASSERT_EQ(batched[i].size(), solo[i].size()) << "probe " << i;
     for (size_t j = 0; j < solo[i].size(); ++j) {
       EXPECT_EQ(batched[i][j].id, solo[i][j].id);

@@ -87,7 +87,7 @@ TEST(PtqUtilTest, SortFilterSummarize) {
   ms[1].confidence = 0.9;
   ms[2].id = 3;
   ms[2].confidence = 0.5;
-  SortByConfidenceDesc(&ms);
+  core::SortByConfidenceDesc(&ms);
   EXPECT_EQ(ms[0].id, 2u);
   EXPECT_EQ(ms[2].id, 1u);
   FilterByThreshold(&ms, 0.4);
@@ -104,7 +104,7 @@ TEST(TopKTest, StrategiesAgree) {
   const size_t k = 10;
 
   std::vector<core::PtqMatch> direct;
-  ASSERT_TRUE(TopKDirect(path, v, k, &direct).ok());
+  ASSERT_TRUE(path.QueryTopK(v, k, &direct).ok());
   ASSERT_EQ(direct.size(), k);
   for (size_t i = 1; i < direct.size(); ++i) {
     EXPECT_GE(direct[i - 1].confidence, direct[i].confidence);
@@ -139,8 +139,8 @@ TEST(TopKTest, UnclusteredBaselineAgrees) {
   engine::UpiAccessPath upi_path(fx.author_upi.get());
   engine::UnclusteredAccessPath heap_path(table.get(), AuthorCols::kInstitution);
   std::vector<core::PtqMatch> via_upi, via_heap;
-  ASSERT_TRUE(TopKDirect(upi_path, v, 7, &via_upi).ok());
-  ASSERT_TRUE(TopKDirect(heap_path, v, 7, &via_heap).ok());
+  ASSERT_TRUE(upi_path.QueryTopK(v, 7, &via_upi).ok());
+  ASSERT_TRUE(heap_path.QueryTopK(v, 7, &via_heap).ok());
   ASSERT_EQ(via_upi.size(), via_heap.size());
   for (size_t i = 0; i < via_upi.size(); ++i) {
     EXPECT_NEAR(via_upi[i].confidence, via_heap[i].confidence, 1e-8);
@@ -185,7 +185,7 @@ TEST(TopKTest, KLargerThanMatchesReturnsAll) {
   engine::UpiAccessPath path(fx.author_upi.get());
   std::string v = fx.gen->InstitutionName(40);  // unpopular
   std::vector<core::PtqMatch> out;
-  ASSERT_TRUE(TopKDirect(path, v, 100000, &out).ok());
+  ASSERT_TRUE(path.QueryTopK(v, 100000, &out).ok());
   // Oracle: all tuples with any positive confidence on v.
   size_t expected = 0;
   for (const Tuple& t : fx.authors) {
@@ -220,7 +220,7 @@ TEST(RunBatchTest, GroupsSameValueProbesAndMatchesIndividualResults) {
   for (size_t i = 0; i < probes.size(); ++i) {
     std::vector<core::PtqMatch> solo;
     ASSERT_TRUE(path.QueryPtq(probes[i].value, probes[i].qt, &solo).ok());
-    SortByConfidenceDesc(&solo);
+    core::SortByConfidenceDesc(&solo);
     ASSERT_EQ(batched[i].size(), solo.size()) << "probe " << i;
     for (size_t j = 0; j < solo.size(); ++j) {
       EXPECT_EQ(batched[i][j].id, solo[j].id);

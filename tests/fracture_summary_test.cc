@@ -9,6 +9,7 @@
 
 #include "core/fractured_upi.h"
 #include "datagen/dblp.h"
+#include "engine/access_path.h"
 #include "storage/db_env.h"
 
 namespace upi::core {
@@ -160,6 +161,7 @@ TEST(FractureSummaryTest, ConcurrentQueriesDuringMaintenanceSmoke) {
   FracturedUpi table(&env, "c", datagen::DblpGenerator::AuthorSchema(), opt,
                      {datagen::AuthorCols::kCountry});
   ASSERT_TRUE(table.BuildMain(tuples).ok());
+  const engine::FracturedAccessPath path(&table);
   std::string v = gen.PopularInstitution();
 
   std::atomic<bool> stop{false};
@@ -168,7 +170,7 @@ TEST(FractureSummaryTest, ConcurrentQueriesDuringMaintenanceSmoke) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         std::vector<PtqMatch> out;
-        ASSERT_TRUE(table.QueryPtq(v, 0.2, &out).ok());
+        ASSERT_TRUE(path.QueryPtq(v, 0.2, &out).ok());
         ASSERT_TRUE(table.QueryTopK(v, 5, &out).ok());
         (void)table.ForQuery(-1, v, 0.2);
         (void)table.EstimatePrune(-1, v, 0.2);

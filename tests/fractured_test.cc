@@ -6,6 +6,7 @@
 #include "core/cost_model.h"
 #include "core/fractured_upi.h"
 #include "datagen/dblp.h"
+#include "engine/access_path.h"
 #include "storage/db_env.h"
 
 namespace upi::core {
@@ -13,6 +14,13 @@ namespace {
 
 using catalog::Tuple;
 using catalog::TupleId;
+
+/// PTQ through the engine's fractured access path: the table's PTQ cursor
+/// drained and confidence-sorted.
+Status QueryPtq(const FracturedUpi& table, std::string_view value, double qt,
+                std::vector<PtqMatch>* out) {
+  return engine::FracturedAccessPath(&table).QueryPtq(value, qt, out);
+}
 
 struct Fx {
   datagen::DblpConfig cfg;
@@ -55,7 +63,7 @@ struct Fx {
   void ExpectQueryMatches(const std::string& value, double qt,
                           const std::map<TupleId, double>& oracle) {
     std::vector<PtqMatch> out;
-    ASSERT_TRUE(table->QueryPtq(value, qt, &out).ok());
+    ASSERT_TRUE(QueryPtq(*table, value, qt, &out).ok());
     std::map<TupleId, double> got;
     for (const auto& m : out) got[m.id] = m.confidence;
     ASSERT_EQ(got.size(), oracle.size()) << value << " qt=" << qt;
@@ -324,7 +332,10 @@ TEST(FracturedUpiTest, ScanTuplesDedupsAndSubtractsDeleteSetsAcrossFractures) {
   std::set<TupleId> deleted = {victim_a, victim_main, victim_buffered};
   std::map<TupleId, int> seen;
   ASSERT_TRUE(
-      fx.table->ScanTuples([&](const Tuple& t) { ++seen[t.id()]; }).ok());
+      fx.table
+          ->ScanTuples(/*column=*/-1, "", /*qt=*/-1.0,
+                       [&](const Tuple& t) { ++seen[t.id()]; })
+          .ok());
   for (const auto& [id, count] : seen) {
     EXPECT_EQ(count, 1) << "tuple " << id << " emitted more than once";
     EXPECT_FALSE(deleted.contains(id)) << "deleted tuple " << id << " emitted";
@@ -363,7 +374,7 @@ TEST(FracturedUpiTest, AdaptiveTuningRetunesPerFracture) {
   auto base = gen2.GenerateAuthors();
   (void)base;
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.02, &out).ok());
+  ASSERT_TRUE(QueryPtq(*fx.table, v, 0.02, &out).ok());
   EXPECT_GE(out.size(), fx.Oracle(v, 0.02).size());
 }
 

@@ -50,6 +50,7 @@ TEST(IntegrationTest, DiscreteLifecycle) {
                            datagen::DblpGenerator::AuthorSchema(), opt,
                            {AuthorCols::kCountry});
   ASSERT_TRUE(table.BuildMain(authors).ok());
+  const engine::FracturedAccessPath table_path(&table);
 
   // Publication UPI for the aggregate queries.
   core::UpiOptions popt = opt;
@@ -77,7 +78,7 @@ TEST(IntegrationTest, DiscreteLifecycle) {
     for (const auto& t : authors) consider(t);
     for (const auto& t : extra) consider(t);
     std::vector<core::PtqMatch> out;
-    ASSERT_TRUE(table.QueryPtq(inst, qt, &out).ok());
+    ASSERT_TRUE(table_path.QueryPtq(inst, qt, &out).ok());
     ASSERT_EQ(out.size(), oracle.size()) << "qt=" << qt;
     for (const auto& m : out) {
       ASSERT_TRUE(oracle.contains(m.id));
@@ -149,7 +150,7 @@ TEST(IntegrationTest, DiscreteLifecycle) {
   // Top-k strategies agree after the whole lifecycle.
   engine::UpiAccessPath main_path(table.main());
   std::vector<core::PtqMatch> direct, est_k;
-  ASSERT_TRUE(exec::TopKDirect(main_path, inst, 5, &direct).ok());
+  ASSERT_TRUE(main_path.QueryTopK(inst, 5, &direct).ok());
   ASSERT_TRUE(exec::TopKByEstimatedThreshold(main_path, inst, 5, &est_k).ok());
   ASSERT_EQ(direct.size(), 5u);
   ASSERT_EQ(est_k.size(), 5u);

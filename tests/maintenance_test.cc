@@ -7,6 +7,7 @@
 
 #include "core/fractured_upi.h"
 #include "datagen/dblp.h"
+#include "engine/access_path.h"
 #include "maintenance/manager.h"
 #include "maintenance/merge_policy.h"
 #include "maintenance/task_queue.h"
@@ -20,6 +21,13 @@ using catalog::TupleId;
 using core::FracturedUpi;
 using core::PtqMatch;
 using core::UpiOptions;
+
+/// PTQ through the engine's fractured access path: the table's PTQ cursor
+/// drained and confidence-sorted.
+Status QueryPtq(const FracturedUpi& table, std::string_view value, double qt,
+                std::vector<PtqMatch>* out) {
+  return engine::FracturedAccessPath(&table).QueryPtq(value, qt, out);
+}
 
 struct Fx {
   datagen::DblpConfig cfg;
@@ -225,7 +233,7 @@ TEST(MaintenanceManagerTest, WatermarkTriggeredFlush) {
 
   std::string v = fx.gen->PopularInstitution();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(QueryPtq(*fx.table, v, 0.05, &out).ok());
   auto oracle = fx.Oracle(v, 0.05, {}, extras);
   EXPECT_EQ(out.size(), oracle.size());
 }
@@ -275,7 +283,7 @@ TEST(MaintenanceManagerTest, PolicyTriggeredPartialMerge) {
 
   std::string v = fx.gen->PopularInstitution();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(QueryPtq(*fx.table, v, 0.05, &out).ok());
   auto oracle = fx.Oracle(v, 0.05, {}, extras);
   ASSERT_EQ(out.size(), oracle.size());
   for (const auto& m : out) {
@@ -314,7 +322,7 @@ TEST(MaintenanceManagerTest, MergeAllPastDeteriorationThreshold) {
 
   std::string v = fx.gen->PopularInstitution();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(QueryPtq(*fx.table, v, 0.05, &out).ok());
   auto oracle = fx.Oracle(v, 0.05, {}, extras);
   ASSERT_EQ(out.size(), oracle.size());
 }
@@ -347,7 +355,7 @@ TEST(MaintenanceManagerTest, ForcedScheduleAndDeleteFlush) {
 
   std::string v = fx.gen->PopularInstitution();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(QueryPtq(*fx.table, v, 0.05, &out).ok());
   auto oracle = fx.Oracle(v, 0.05, {1, 2, 3, 4}, {extra});
   EXPECT_EQ(out.size(), oracle.size());
 }
@@ -384,7 +392,7 @@ TEST(MaintenanceManagerTest, ThreadedQueriesStayCorrectDuringMerges) {
       if (i % 10 == 9) {
         auto oracle = fx.Oracle(v, 0.05, {}, extras);
         std::vector<PtqMatch> out;
-        ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+        ASSERT_TRUE(QueryPtq(*fx.table, v, 0.05, &out).ok());
         ASSERT_EQ(out.size(), oracle.size())
             << "round " << round << " insert " << i;
         for (const auto& m : out) {
@@ -404,7 +412,7 @@ TEST(MaintenanceManagerTest, ThreadedQueriesStayCorrectDuringMerges) {
   // Final state: everything visible, exactly once.
   auto oracle = fx.Oracle(v, 0.05, {}, extras);
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(QueryPtq(*fx.table, v, 0.05, &out).ok());
   ASSERT_EQ(out.size(), oracle.size());
 
   mgr.Stop();

@@ -12,6 +12,7 @@
 
 #include "datagen/dblp.h"
 #include "engine/database.h"
+#include "exec/operators.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
@@ -287,25 +288,28 @@ TEST(ObsEngineTest, ExplainAnalyzeReconcilesOnSsdProfile) {
 }
 
 TEST(ObsEngineTest, ExplainAnalyzeFracturedPrunedProbe) {
-  // A 16-fracture table whose fractures hold disjoint institution ranges:
-  // a point probe can touch exactly one, and the zone maps prove it.
+  // A 16-fracture table whose fractures hold disjoint institution and
+  // country ranges: a point probe of every kind can touch exactly one, and
+  // the zone maps prove it.
   engine::Database db;
   constexpr int kInst = AuthorCols::kInstitution;
+  constexpr int kCountry = AuthorCols::kCountry;
   core::UpiOptions opt;
   opt.cluster_column = kInst;
   opt.cutoff = 0.1;
 
   auto make_tuple = [](catalog::TupleId id, int part) {
-    char inst[32];
+    char inst[32], country[32];
     std::snprintf(inst, sizeof(inst), "inst%02d_%04llu", part,
                   static_cast<unsigned long long>(id % 1000));
+    std::snprintf(country, sizeof(country), "c%02d", part);
     std::vector<catalog::Value> values(4);
     values[AuthorCols::kName] =
         catalog::Value::String("n" + std::to_string(id));
     values[kInst] = catalog::Value::Discrete(
         prob::DiscreteDistribution::Make({{inst, 0.9}}).ValueOrDie());
-    values[AuthorCols::kCountry] = catalog::Value::Discrete(
-        prob::DiscreteDistribution::Make({{"c", 0.9}}).ValueOrDie());
+    values[kCountry] = catalog::Value::Discrete(
+        prob::DiscreteDistribution::Make({{country, 0.9}}).ValueOrDie());
     values[AuthorCols::kPayload] = catalog::Value::String("p");
     return Tuple(id, 0.95, values);
   };
@@ -315,7 +319,7 @@ TEST(ObsEngineTest, ExplainAnalyzeFracturedPrunedProbe) {
   for (int i = 0; i < 300; ++i) main_batch.push_back(make_tuple(id++, 0));
   engine::Table* t =
       db.CreateFracturedTable("parts", datagen::DblpGenerator::AuthorSchema(),
-                              opt, {}, main_batch)
+                              opt, {kCountry}, main_batch)
           .ValueOrDie();
   for (int part = 1; part < 16; ++part) {
     for (int i = 0; i < 120; ++i) {
@@ -327,41 +331,92 @@ TEST(ObsEngineTest, ExplainAnalyzeFracturedPrunedProbe) {
   ASSERT_GE(t->fractured()->num_fractures(), 10u);
   const size_t nfrac = t->fractured()->num_fractures();
 
-  // Part 7's ids are 1021..1140, so "inst07_0021" lives in exactly one
-  // fracture; every other zone map excludes it.
+  // Part 7's ids are 1021..1140, so "inst07_0021" and "c07" each live in
+  // exactly one fracture; every other zone map excludes them. Each probe
+  // kind runs as a forced plan (the planner prefers heap scans on fractures
+  // this small), executed the way Table::AnalyzeQuery executes its plan.
+  const sim::SimDisk* disk = db.env()->disk();
+  auto plan_of = [](engine::PlanKind kind, int column, const char* value,
+                    double qt, size_t k) {
+    engine::Plan p;
+    p.kind = kind;
+    p.column = column;
+    p.value = value;
+    p.qt = qt;
+    p.k = k;
+    return p;
+  };
+  const std::pair<const char*, engine::Plan> kinds[] = {
+      {"ptq", plan_of(engine::PlanKind::kPrimaryProbe, -1, "inst07_0021", 0.5,
+                      0)},
+      {"secondary", plan_of(engine::PlanKind::kSecondaryTailored, kCountry,
+                            "c07", 0.5, 0)},
+      {"top-k",
+       plan_of(engine::PlanKind::kTopKDirect, -1, "inst07_0021", 0.0, 5)},
+      {"scan-filter",
+       plan_of(engine::PlanKind::kHeapScan, kInst, "inst07_0021", 0.5, 0)},
+  };
+  auto pruned_total = [&db] {
+    return db.MetricsSnapshot()
+        .Find("upi_pruning_fractures_pruned_total")
+        ->value;
+  };
+  for (const auto& [kind, plan] : kinds) {
+    SCOPED_TRACE(kind);
+    const double pruned_before = pruned_total();
+    db.ColdCache();
+    obs::QueryTrace trace;
+    trace.disk = disk;
+    std::vector<core::PtqMatch> rows;
+    sim::ThreadStatsWindow outer(disk);
+    {
+      obs::TraceScope scope(&trace);
+      sim::ThreadStatsWindow window(disk);
+      ASSERT_TRUE(exec::Execute(*t->path(), plan, &rows).ok());
+      trace.total = window.Delta();
+    }
+    sim::DiskStats outer_delta = outer.Delta();
+    ASSERT_FALSE(rows.empty());
+
+    // Exact reconciliation against the device: the trace total is the
+    // thread-stats delta, and the per-operator actuals sum to it.
+    EXPECT_EQ(trace.total.reads, outer_delta.reads);
+    EXPECT_EQ(trace.total.seeks, outer_delta.seeks);
+    EXPECT_EQ(trace.OpReads(), trace.total.reads);
+    uint64_t op_seeks = 0;
+    for (const TraceOp& op : trace.ops) op_seeks += op.io.seeks;
+    EXPECT_EQ(op_seeks, trace.total.seeks);
+
+    // Pruning shows up per node: most fractures are recorded as pruned ops
+    // with zero I/O, and at least one probed op carries the pages.
+    size_t pruned_ops = 0, probed_io_ops = 0;
+    for (const TraceOp& op : trace.ops) {
+      if (op.pruned) {
+        ++pruned_ops;
+        EXPECT_EQ(op.io.reads, 0u) << op.label;
+      } else if (op.io.reads > 0) {
+        ++probed_io_ops;
+      }
+    }
+    EXPECT_GE(pruned_ops, nfrac - 3);
+    EXPECT_GE(probed_io_ops, 1u);
+    // Every [pruned] node is one count on the pruning counter, and back.
+    EXPECT_EQ(pruned_total() - pruned_before,
+              static_cast<double>(pruned_ops));
+  }
+
+  // EXPLAIN ANALYZE renders the same nodes and reconciles the same way.
   db.ColdCache();
-  sim::ThreadStatsWindow outer(db.env()->disk());
+  sim::ThreadStatsWindow outer(disk);
   auto r = t->AnalyzeQuery(engine::Query::Ptq("inst07_0021", 0.5));
   sim::DiskStats outer_delta = outer.Delta();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const engine::Table::AnalyzeResult& a = r.value();
   ASSERT_FALSE(a.rows.empty());
-
-  // Exact reconciliation against the device: the trace total is the
-  // thread-stats delta, and the per-operator reads sum to it.
   EXPECT_EQ(a.trace.total.reads, outer_delta.reads);
-  EXPECT_EQ(a.trace.total.seeks, outer_delta.seeks);
   EXPECT_EQ(a.trace.OpReads(), a.trace.total.reads);
-
-  // Pruning shows up per node: most fractures are recorded as pruned ops
-  // with zero I/O, and at least one probed op carries the pages.
-  size_t pruned_ops = 0, probed_io_ops = 0;
-  for (const TraceOp& op : a.trace.ops) {
-    if (op.pruned) {
-      ++pruned_ops;
-      EXPECT_EQ(op.io.reads, 0u) << op.label;
-    } else if (op.io.reads > 0) {
-      ++probed_io_ops;
-    }
-  }
-  EXPECT_GE(pruned_ops, nfrac - 3);
-  EXPECT_GE(probed_io_ops, 1u);
-  EXPECT_NE(a.text.find("[pruned]"), std::string::npos);
-
-  // The pruning counters moved accordingly.
+  EXPECT_NE(a.text.find("[pruned]"), std::string::npos) << a.text;
   MetricsSnapshot snap = db.MetricsSnapshot();
-  EXPECT_GE(snap.Find("upi_pruning_fractures_pruned_total")->value,
-            static_cast<double>(pruned_ops));
   EXPECT_GE(snap.Find("upi_pruning_fractures_probed_total")->value, 1.0);
 }
 

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "core/fractured_upi.h"
 #include "datagen/dblp.h"
+#include "engine/access_path.h"
 #include "engine/database.h"
 #include "exec/operators.h"
 #include "sim/sim_disk.h"
@@ -26,6 +27,13 @@ using catalog::TupleId;
 
 constexpr int kInst = datagen::AuthorCols::kInstitution;
 constexpr int kCountry = datagen::AuthorCols::kCountry;
+
+/// PTQ through the engine's fractured access path: the table's PTQ cursor
+/// drained and confidence-sorted.
+Status QueryPtq(const FracturedUpi& table, std::string_view value, double qt,
+                std::vector<PtqMatch>* out) {
+  return engine::FracturedAccessPath(&table).QueryPtq(value, qt, out);
+}
 
 /// Partitioned synthetic tuple: institution in slot `key`, country mirroring
 /// coarsely, optionally capped at a low existence.
@@ -137,7 +145,7 @@ TEST(PruningPropertyTest, AllReadPathsBitIdenticalWithAndWithoutPruning) {
         fx.table->mutable_options()->enable_pruning = pruning;
         auto& fps = pruning ? fp_on : fp_off;
         std::vector<PtqMatch> rows;
-        ASSERT_TRUE(fx.table->QueryPtq(value, qt, &rows).ok());
+        ASSERT_TRUE(QueryPtq(*fx.table, value, qt, &rows).ok());
         fps["ptq"] = Fingerprint(rows);
         rows.clear();
         ASSERT_TRUE(fx.table
@@ -151,7 +159,7 @@ TEST(PruningPropertyTest, AllReadPathsBitIdenticalWithAndWithoutPruning) {
         fps["topk"] = Fingerprint(rows);
         rows.clear();
         ASSERT_TRUE(fx.table
-                        ->ScanTuplesMatching(
+                        ->ScanTuples(
                             kInst, value, qt,
                             [&](const Tuple& t) {
                               double c = t.ConfidenceOf(kInst, value);
@@ -221,7 +229,7 @@ TEST(PruningPinnedTest, HighThresholdPtqProbesOnlyMainAndPaysMainOnlyPages) {
     e->ColdCache();
     sim::StatsWindow w(e->disk());
     std::vector<PtqMatch> rows;
-    EXPECT_TRUE(t->QueryPtq(v, 0.5, &rows).ok());
+    EXPECT_TRUE(QueryPtq(*t, v, 0.5, &rows).ok());
     return w.Delta();
   };
   sim::DiskStats pruned = measure(&env, &table, value);

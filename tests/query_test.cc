@@ -11,7 +11,6 @@
 #include "engine/database.h"
 #include "engine/session.h"
 #include "exec/cursor.h"
-#include "exec/ptq.h"
 #include "sim/sim_disk.h"
 
 namespace upi::engine {
@@ -89,7 +88,7 @@ TEST(QueryTest, DrainedCursorMatchesMaterializedRun) {
   core::PtqMatch m;
   while (cursor->TakeNext(&m)) streamed.push_back(std::move(m));
   ASSERT_TRUE(cursor->status().ok());
-  exec::SortByConfidenceDesc(&streamed);
+  core::SortByConfidenceDesc(&streamed);
 
   ASSERT_EQ(streamed.size(), materialized.size());
   for (size_t i = 0; i < streamed.size(); ++i) {
@@ -248,6 +247,106 @@ TEST(QueryTest, ScanFilterOnFracturedSeesBufferFracturesAndDeletes) {
           .ok());
   ASSERT_GT(via_ptq.size(), 0u);
   EXPECT_EQ(Ids(via_scan), Ids(via_ptq));
+}
+
+TEST(QueryTest, KBoundedProbesReturnRowsBestFirstTiesIncluded) {
+  // RowsCursor does not re-sort a k-bounded probe's rows, so every such
+  // probe must hand them over in SortByConfidenceDesc order itself. Every
+  // tuple holds "tie" at one of three probabilities (existence 1, so equal
+  // probabilities are equal confidences) and routes to a shard by its
+  // "home" alternative.
+  const double kTieProbs[] = {0.4, 0.3, 0.3, 0.2};
+  std::vector<Tuple> tuples;
+  for (catalog::TupleId id = 1; id <= 160; ++id) {
+    std::vector<Value> values(4);
+    values[AuthorCols::kName] = Value::String("n" + std::to_string(id));
+    values[AuthorCols::kInstitution] = Value::Discrete(
+        prob::DiscreteDistribution::Make(
+            {{"home" + std::to_string(id % 6), 0.55},
+             {"tie", kTieProbs[id % 4]}})
+            .ValueOrDie());
+    values[AuthorCols::kCountry] = Value::Discrete(
+        prob::DiscreteDistribution::Make({{"c", 0.9}}).ValueOrDie());
+    values[AuthorCols::kPayload] = Value::String("p");
+    tuples.emplace_back(id, 1.0, values);
+  }
+  Database db;
+  core::UpiOptions opt;
+  opt.cluster_column = AuthorCols::kInstitution;
+  opt.cutoff = 0.1;
+  const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  std::vector<Tuple> bulk(tuples.begin(), tuples.begin() + 60);
+  // Fractured: main, two deltas, a buffered tail, deletes in both regimes.
+  Table* fractured =
+      db.CreateFracturedTable("frac", schema, opt, {}, bulk).ValueOrDie();
+  for (size_t i = 60; i < 160; ++i) {
+    ASSERT_TRUE(fractured->Insert(tuples[i]).ok());
+    if (i == 100 || i == 130) {
+      ASSERT_TRUE(fractured->Delete(tuples[i - 50]).ok());
+      ASSERT_TRUE(fractured->fractured()->FlushBuffer().ok());
+    }
+  }
+  ASSERT_TRUE(fractured->Delete(tuples[140]).ok());
+  PartitionOptions popts;
+  popts.num_shards = 3;
+  Table* partitioned =
+      db.CreatePartitionedTable("part", schema, opt, {}, popts, tuples)
+          .ValueOrDie();
+  Table* unclustered =
+      db.CreateUnclusteredTable("heap", schema, AuthorCols::kInstitution,
+                                {AuthorCols::kInstitution}, tuples)
+          .ValueOrDie();
+
+  struct Probe {
+    std::string label;
+    std::function<std::unique_ptr<ResultCursor>()> open;
+  };
+  auto descent = [](const Table* t) {
+    return [t] {
+      Plan plan;
+      plan.kind = PlanKind::kTopKDecreasingThreshold;
+      plan.value = "tie";
+      plan.initial_qt = 0.5;
+      return exec::OpenCursor(*t->path(), plan).ValueOrDie();
+    };
+  };
+  const std::vector<Probe> probes = {
+      {"fractured top-k",
+       [&] { return fractured->path()->OpenTopKStream("tie"); }},
+      {"partitioned top-k",
+       [&] { return partitioned->path()->OpenTopKStream("tie"); }},
+      {"pii top-k",
+       [&] { return unclustered->path()->OpenTopKStream("tie"); }},
+      {"fractured threshold descent", descent(fractured)},
+      {"partitioned threshold descent", descent(partitioned)},
+  };
+  for (const Probe& probe : probes) {
+    for (size_t k : {7u, 50u}) {
+      for (bool where : {false, true}) {
+        SCOPED_TRACE(probe.label + " k=" + std::to_string(k) +
+                     (where ? " where" : ""));
+        std::unique_ptr<ResultCursor> cursor = probe.open();
+        cursor->SetLimit(k);
+        // A rejecting predicate makes the cursor re-run the probe with 2k.
+        if (where) {
+          cursor->SetPredicate([](const Tuple& t) { return t.id() % 3 != 0; });
+        }
+        std::vector<core::PtqMatch> rows;
+        core::PtqMatch m;
+        while (cursor->TakeNext(&m)) rows.push_back(std::move(m));
+        ASSERT_TRUE(cursor->status().ok()) << cursor->status().ToString();
+        ASSERT_EQ(rows.size(), k);
+        std::vector<core::PtqMatch> sorted = rows;
+        core::SortByConfidenceDesc(&sorted);
+        EXPECT_EQ(Ids(rows), Ids(sorted));
+        bool tied = false;
+        for (size_t i = 1; i < rows.size(); ++i) {
+          tied |= rows[i].confidence == rows[i - 1].confidence;
+        }
+        EXPECT_TRUE(tied) << "the probe must cut through a tie group";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

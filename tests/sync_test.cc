@@ -173,7 +173,9 @@ TEST(SyncChecksDeathTest, WalTailBeforeSyncInversionAborts) {
   static Mutex sync_mu(LockRank::kWalSync);
   static Mutex tail_mu(LockRank::kWalTail);
   std::lock_guard<Mutex> tail(tail_mu);
-  EXPECT_DEATH(sync_mu.lock(), "lock-rank inversion.*WalTail.*WalSync");
+  // The checker names the lock being acquired first, then the held stack.
+  EXPECT_DEATH(sync_mu.lock(),
+               "lock-rank inversion acquiring WalSync.*held.*WalTail");
 }
 
 TEST(SyncChecksDeathTest, IoChargeUnderWalSyncLockIsAllowed) {
