@@ -20,13 +20,14 @@ BTree BTree::FromBuilt(storage::Pager pager, PageId root, uint32_t height,
 
 Status BTree::ReadNode(PageId id, Node* out) const {
   storage::PageRef ref = pager_.Get(id);
-  return Node::Deserialize(*ref.data(), out);
+  return Node::Deserialize(ref.bytes(), out);
 }
 
 void BTree::WriteNode(PageId id, const Node& node) {
   storage::PageRef ref = pager_.Get(id);
-  node.Serialize(ref.data());
-  UPI_CHECK(ref.data()->size() <= pager_.page_size(),
+  std::string* page = ref.data();
+  node.Serialize(page);
+  UPI_CHECK(page->size() <= pager_.page_size(),
             "serialized B-tree node overflows its page");
   ref.MarkDirty();
 }
@@ -125,8 +126,9 @@ Status BTree::PutRec(PageId page_id, std::string_view key, std::string_view valu
       right.right_sibling = node.right_sibling;
       node.right_sibling = right_id;
     }
-    right.Serialize(ref.data());
-    UPI_CHECK(ref.data()->size() <= pager_.page_size(),
+    std::string* page = ref.data();
+    right.Serialize(page);
+    UPI_CHECK(page->size() <= pager_.page_size(),
               "split B-tree node overflows its page");
     ref.MarkDirty();
   }
@@ -142,14 +144,14 @@ Status BTree::PutRec(PageId page_id, std::string_view key, std::string_view valu
 // ---------------------------------------------------------------------------
 
 Status BTree::FindLeaf(std::string_view key, storage::PageRef* ref,
-                       NodeView* view, PageId* leaf_id) const {
+                       const NodeView** view, PageId* leaf_id) const {
   PageId id = root_;
   for (;;) {
     *ref = pager_.Get(id);
-    UPI_RETURN_NOT_OK(NodeView::Open(*ref->data(), view));
-    if (view->is_leaf()) break;
-    if (view->count() == 0) return Status::Corruption("empty internal btree node");
-    id = view->ChildFor(key);
+    UPI_RETURN_NOT_OK(NodeView::ForPage(ref, view));
+    if ((*view)->is_leaf()) break;
+    if ((*view)->count() == 0) return Status::Corruption("empty internal btree node");
+    id = (*view)->ChildFor(key);
     ref->Release();
   }
   *leaf_id = id;
@@ -158,11 +160,11 @@ Status BTree::FindLeaf(std::string_view key, storage::PageRef* ref,
 
 Result<std::string> BTree::Get(std::string_view key) const {
   storage::PageRef ref;
-  NodeView view;
+  const NodeView* view = nullptr;
   PageId id = kInvalidPage;
   UPI_RETURN_NOT_OK(FindLeaf(key, &ref, &view, &id));
   std::string_view value;
-  if (view.Find(key, &value)) return std::string(value);
+  if (view->Find(key, &value)) return std::string(value);
   return Status::NotFound("key not in btree");
 }
 
@@ -170,7 +172,7 @@ Cursor BTree::Seek(std::string_view key) const {
   PageId id = kInvalidPage;
   {
     storage::PageRef ref;
-    NodeView view;
+    const NodeView* view = nullptr;
     if (!FindLeaf(key, &ref, &view, &id).ok()) return Cursor();
   }
   return Cursor(this, id, key);

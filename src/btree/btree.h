@@ -30,12 +30,13 @@ class BTree;
 /// \brief Forward iterator positioned on a leaf entry.
 ///
 /// The cursor holds a private byte copy of the current leaf (one page-sized
-/// memcpy per leaf, no per-entry decoding) and the offsets of the current key
-/// and value within it; key() and value() are views into that copy, valid
-/// until the next Next() or until the cursor is destroyed or assigned. It
-/// does not pin the page, so it stays safe if the pool evicts it, and it may
-/// be copied or moved mid-walk, but it must not be used across tree
-/// modifications.
+/// memcpy per leaf, no per-entry decoding; count, sibling and the start
+/// offset come from the pinned frame's NodeView) and the offsets of the
+/// current key and value within it; key() and value() are views into that
+/// copy, valid until the next Next() or until the cursor is destroyed or
+/// assigned. It does not pin the page, so it stays safe if the pool evicts
+/// it, and it may be copied or moved mid-walk, but it must not be used
+/// across tree modifications.
 class Cursor {
  public:
   Cursor() = default;
@@ -63,8 +64,10 @@ class Cursor {
   /// Positions on the first entry >= `key` of leaf `leaf_id`, or further
   /// along the chain.
   Cursor(const BTree* tree, PageId leaf_id, std::string_view key);
-  /// Copies leaf `id` into page_ and validates the copy; false on failure.
-  bool CopyLeaf(PageId id, NodeView* view);
+  /// Copies leaf `id` into page_ and makes its first entry >= `key` (with
+  /// `from_start`, its first entry) current; false if `id` is not a valid
+  /// leaf.
+  bool CopyLeaf(PageId id, std::string_view key, bool from_start);
   void LoadLeaf(PageId id);
   /// Makes the entry at byte offset `offset` of page_ current.
   void DecodeAt(uint32_t offset);
@@ -140,11 +143,12 @@ class BTree {
 
   Status ReadNode(PageId id, Node* out) const;
   /// Descends from the root to the leaf covering `key`, searching each pinned
-  /// page in place. Every pin is released before the child is fetched, so
-  /// the pool sees the same Fetch/Unpin sequence as one ReadNode per level.
-  /// On success `ref` pins the leaf, `view` reads it and `leaf_id` names it.
-  Status FindLeaf(std::string_view key, storage::PageRef* ref, NodeView* view,
-                  PageId* leaf_id) const;
+  /// page in place through its frame's cached NodeView. Every pin is released
+  /// before the child is fetched, so the pool sees the same Fetch/Unpin
+  /// sequence as one ReadNode per level. On success `ref` pins the leaf,
+  /// `view` reads it and `leaf_id` names it.
+  Status FindLeaf(std::string_view key, storage::PageRef* ref,
+                  const NodeView** view, PageId* leaf_id) const;
   void WriteNode(PageId id, const Node& node);
 
   Status PutRec(PageId page_id, std::string_view key, std::string_view value,

@@ -4,22 +4,23 @@ namespace upi::btree {
 
 Cursor::Cursor(const BTree* tree, PageId leaf_id, std::string_view key)
     : tree_(tree) {
-  NodeView view;
-  if (!CopyLeaf(leaf_id, &view)) return;
-  NodeView::Pos pos = view.LowerBound(key);
-  remaining_ = view.count() - pos.index;
-  if (remaining_ > 0) DecodeAt(pos.offset);
+  if (!CopyLeaf(leaf_id, key, /*from_start=*/false)) return;
   valid_ = true;
   SkipForwardToValid();
 }
 
-bool Cursor::CopyLeaf(PageId id, NodeView* view) {
-  {
-    storage::PageRef ref = tree_->pager_.Get(id);
-    page_.assign(*ref.data());
-  }
-  if (!NodeView::Open(page_, view).ok()) return false;
+bool Cursor::CopyLeaf(PageId id, std::string_view key, bool from_start) {
+  storage::PageRef ref = tree_->pager_.Get(id);
+  const NodeView* view = nullptr;
+  if (!NodeView::ForPage(&ref, &view).ok() || !view->is_leaf()) return false;
+  // The copy has the frame's layout, so the view's offsets address it too.
+  NodeView::Pos pos = from_start
+                          ? NodeView::Pos{0, static_cast<uint32_t>(kNodeHeaderSize)}
+                          : view->LowerBound(key);
+  page_.assign(ref.bytes());
   right_sibling_ = view->right_sibling();
+  remaining_ = view->count() - pos.index;
+  if (remaining_ > 0) DecodeAt(pos.offset);
   return true;
 }
 
@@ -34,21 +35,18 @@ void Cursor::MaybePrefetch() {
   PageId next = right_sibling_;
   for (uint32_t i = 0; i < readahead_ && next != kInvalidPage; ++i) {
     storage::PageRef ref = tree_->pager_.Get(next);
-    NodeView view;
-    if (!NodeView::Open(*ref.data(), &view).ok()) break;
-    next = view.right_sibling();
+    const NodeView* view = nullptr;
+    if (!NodeView::ForPage(&ref, &view).ok()) break;
+    next = view->right_sibling();
   }
   prefetch_remaining_ = readahead_;
 }
 
 void Cursor::LoadLeaf(PageId id) {
-  NodeView view;
-  if (id == kInvalidPage || !CopyLeaf(id, &view)) {
+  if (id == kInvalidPage || !CopyLeaf(id, {}, /*from_start=*/true)) {
     valid_ = false;
     return;
   }
-  remaining_ = view.count();
-  if (remaining_ > 0) DecodeAt(static_cast<uint32_t>(kNodeHeaderSize));
   MaybePrefetch();
 }
 

@@ -1,6 +1,7 @@
 #include "btree/node.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/coding.h"
 
@@ -141,11 +142,11 @@ Status NodeView::Open(std::string_view page, NodeView* out) {
   out->count_ = count;
   out->right_sibling_ = GetFixed32(page.data() + 8);
   out->sample_shift_ = shift;
-  out->num_samples_ = count == 0 ? 0 : ((count - 1) >> shift) + 1;
+  out->samples_.resize(count == 0 ? 0 : ((count - 1) >> shift) + 1);
 
   // Locals only in the loop: a store through `out` could alias any field.
   const uint32_t mask = (1u << shift) - 1;
-  uint32_t* sample = out->samples_;
+  uint32_t* sample = out->samples_.data();
   const char* base = page.data();
   const char* p = base + kNodeHeaderSize;
   const char* limit = base + page.size();
@@ -169,6 +170,17 @@ Status NodeView::Open(std::string_view page, NodeView* out) {
       p += 4;
     }
   }
+  return Status::OK();
+}
+
+Status NodeView::ForPage(storage::PageRef* ref, const NodeView** out) {
+  if (const storage::PageDecode* cached = ref->decode()) {
+    *out = static_cast<const NodeView*>(cached);
+    return Status::OK();
+  }
+  auto view = std::make_unique<NodeView>();
+  UPI_RETURN_NOT_OK(Open(ref->bytes(), view.get()));
+  *out = static_cast<const NodeView*>(ref->Publish(std::move(view)));
   return Status::OK();
 }
 
@@ -207,7 +219,7 @@ int64_t NodeView::LastSampleBefore(std::string_view key, uint32_t first,
                                    bool inclusive) const {
   // Sample keys ascend, so "before `key`" holds for a prefix of them.
   int64_t lo = int64_t{first} - 1;
-  int64_t hi = num_samples_;
+  int64_t hi = static_cast<int64_t>(samples_.size());
   while (hi - lo > 1) {
     int64_t mid = lo + (hi - lo) / 2;
     uint32_t after = 0;

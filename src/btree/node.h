@@ -12,6 +12,14 @@
 // obviously correct implementation than in-place slotted updates. All I/O
 // cost accounting happens at the page layer, so neither choice affects any
 // simulated-device result.
+//
+// A page is validated once per buffer-pool residency, not once per visit:
+// NodeView::ForPage opens the first reader's view and publishes it as the
+// frame's decode (storage::PageDecode), and every later visit to the pinned
+// page reuses it. The pool drops that view whenever the page's bytes may
+// change (any mutable PageRef access, MarkDirty, create-fetch, eviction,
+// Discard, DropAll), and a page that fails validation publishes nothing, so
+// a corrupt page fails on every visit. Open stays the only validator.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +28,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/page_file.h"
+#include "storage/pager.h"
 
 namespace upi::btree {
 
@@ -76,7 +84,8 @@ inline constexpr size_t kNodeHeaderSize = 12;
 /// same pass it records the offsets of at most kMaxSamples evenly spaced
 /// entries (every entry of a node with no more than that), so a search is a
 /// binary search over those plus a forward walk shorter than their spacing.
-class NodeView {
+/// The sample array is sized to the node's entry count.
+class NodeView final : public storage::PageDecode {
  public:
   /// Entry index within the node and the byte offset where the entry starts.
   struct Pos {
@@ -86,6 +95,12 @@ class NodeView {
 
   /// Validates `page`; on Corruption `out` must not be used.
   static Status Open(std::string_view page, NodeView* out);
+
+  /// The validated view of the page `ref` pins: the frame's published view
+  /// if it has one, else a freshly opened one, published for later visits
+  /// unless validation fails. Valid while `ref` pins the page unmodified.
+  /// Every page of a B-tree file is only ever decoded as a NodeView.
+  static Status ForPage(storage::PageRef* ref, const NodeView** out);
 
   bool is_leaf() const { return is_leaf_; }
   uint32_t count() const { return count_; }
@@ -114,7 +129,7 @@ class NodeView {
   /// Offset of the entry following the one at `offset`.
   uint32_t NextEntry(uint32_t offset) const;
   /// Index of the last sample whose key is below (or with `inclusive`, at
-  /// most) `key`, searching samples [first, num_samples_); `first - 1` if
+  /// most) `key`, searching samples [first, samples_.size()); `first - 1` if
   /// none.
   int64_t LastSampleBefore(std::string_view key, uint32_t first,
                            bool inclusive) const;
@@ -124,8 +139,7 @@ class NodeView {
   uint32_t count_ = 0;
   PageId right_sibling_ = kInvalidPage;
   uint32_t sample_shift_ = 0;  // samples_[i] is entry i << sample_shift_
-  uint32_t num_samples_ = 0;
-  uint32_t samples_[kMaxSamples] = {};
+  std::vector<uint32_t> samples_;
 };
 
 }  // namespace upi::btree

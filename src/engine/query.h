@@ -145,6 +145,10 @@ class ResultCursor {
   /// Rows handed to the consumer so far.
   size_t rows_returned() const { return rows_; }
 
+  /// True if the rows come out in core::SortByConfidenceDesc order, so a
+  /// consumer that needs that order can skip sorting them again.
+  virtual bool best_first() const { return false; }
+
   /// Caps the rows this cursor returns (0 = unlimited). Set before pulling.
   void SetLimit(size_t limit) { limit_ = limit; }
 
@@ -198,6 +202,8 @@ class RowsCursor : public ResultCursor {
 
   /// A cursor that produces nothing and reports `error` from status().
   static std::unique_ptr<ResultCursor> Failed(Status error);
+
+  bool best_first() const override { return true; }
 
  private:
   bool Produce(core::PtqMatch* out) override;

@@ -18,7 +18,7 @@
 // streams, which deliver storage order — the heap phase (descending
 // confidence within the probed region) before the cutoff phase, fractures
 // in fan-out order, PII rows in heap order. Execute() applies the final
-// confidence sort.
+// confidence sort to every cursor that does not report best_first().
 #pragma once
 
 #include <functional>

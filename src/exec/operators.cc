@@ -47,7 +47,7 @@ Status Execute(const engine::AccessPath& path, const engine::Plan& plan,
   core::PtqMatch m;
   while (cursor->TakeNext(&m)) rows.push_back(std::move(m));
   UPI_RETURN_NOT_OK(cursor->status());
-  core::SortByConfidenceDesc(&rows);
+  if (!cursor->best_first()) core::SortByConfidenceDesc(&rows);
   if (plan.limit > 0 && rows.size() > plan.limit) rows.resize(plan.limit);
   // Plans with no finer-grained instrumentation (clustered probes, scans,
   // union plans) still get one operator record covering the execution.

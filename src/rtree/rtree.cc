@@ -151,13 +151,14 @@ size_t RTree::InternalCapacity() const {
 
 Status RTree::ReadNode(PageId id, Node* out) const {
   storage::PageRef ref = pager_.Get(id);
-  return Node::Deserialize(*ref.data(), out);
+  return Node::Deserialize(ref.bytes(), out);
 }
 
 void RTree::WriteNode(PageId id, const Node& node) {
   storage::PageRef ref = pager_.Get(id);
-  node.Serialize(ref.data());
-  UPI_CHECK(ref.data()->size() <= pager_.page_size(),
+  std::string* page = ref.data();
+  node.Serialize(page);
+  UPI_CHECK(page->size() <= pager_.page_size(),
             "serialized R-tree node overflows its page");
   ref.MarkDirty();
 }

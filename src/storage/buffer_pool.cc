@@ -88,7 +88,9 @@ std::vector<BufferPool::Victim> BufferPool::DetachVictimsLocked(Shard& s) {
     ++s.evictions;
     if (victim->dirty) {
       // Keep the frame mapped (kWriting) until the write-back lands, so a
-      // concurrent re-fetch can't read stale bytes from the file.
+      // concurrent re-fetch can't read stale bytes from the file. Its bytes
+      // leave the frame, so its decode goes too.
+      victim->decode.reset();
       victim->state = Frame::State::kWriting;
       ++s.transients;
       ++s.writebacks;
@@ -113,7 +115,8 @@ void BufferPool::FinishVictimsLocked(Shard& s,
   if (!victims.empty()) s.cv.notify_all();
 }
 
-std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create) {
+std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create,
+                              const PageDecode** decode) {
   const Key k{file, id};
   Shard& s = ShardFor(k);
   const uint32_t page_bytes = file->page_size();
@@ -137,7 +140,9 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create) {
       // come back empty and reach the device.
       f.data.clear();
       f.dirty = true;
+      f.decode.reset();
     }
+    if (decode != nullptr) *decode = f.decode.get();
     return &f.data;
   }
 
@@ -174,6 +179,7 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create) {
   f.lru_it = s.cold.begin();
   s.transients -= 1;
   s.cv.notify_all();
+  if (decode != nullptr) *decode = nullptr;
   return &f.data;
 }
 
@@ -189,15 +195,42 @@ void BufferPool::Unpin(PageFile* file, PageId id) {
   --it->second.pins;
 }
 
+BufferPool::Frame& BufferPool::ResidentFrameLocked(Shard& s, const Key& k) {
+  auto it = s.frames.find(k);
+  UPI_CHECK(it != s.frames.end(), "access to a page with no mapped frame");
+  UPI_CHECK(it->second.state == Frame::State::kResident,
+            "access to a non-resident frame");
+  return it->second;
+}
+
 void BufferPool::MarkDirty(PageFile* file, PageId id) {
   const Key k{file, id};
   Shard& s = ShardFor(k);
   std::lock_guard<sync::Mutex> lock(s.mu);
-  auto it = s.frames.find(k);
-  UPI_CHECK(it != s.frames.end(), "MarkDirty of a page with no mapped frame");
-  UPI_CHECK(it->second.state == Frame::State::kResident,
-            "MarkDirty of a non-resident frame");
-  it->second.dirty = true;
+  Frame& f = ResidentFrameLocked(s, k);
+  f.dirty = true;
+  f.decode.reset();
+}
+
+const PageDecode* BufferPool::InstallDecode(
+    PageFile* file, PageId id, std::unique_ptr<const PageDecode> decode) {
+  const Key k{file, id};
+  Shard& s = ShardFor(k);
+  std::lock_guard<sync::Mutex> lock(s.mu);
+  Frame& f = ResidentFrameLocked(s, k);
+  UPI_CHECK(f.pins > 0, "decode installed into an unpinned frame");
+  if (f.decode == nullptr) {
+    f.decode = std::move(decode);
+    ++s.decodes;
+  }
+  return f.decode.get();
+}
+
+void BufferPool::DropDecode(PageFile* file, PageId id) {
+  const Key k{file, id};
+  Shard& s = ShardFor(k);
+  std::lock_guard<sync::Mutex> lock(s.mu);
+  ResidentFrameLocked(s, k).decode.reset();
 }
 
 std::vector<BufferPool::Key> BufferPool::CollectDirty(
@@ -336,7 +369,7 @@ uint64_t BufferPool::misses() const {
 BufferPool::PoolCounters BufferPool::shard_counters(size_t shard) const {
   const Shard& s = shards_[shard];
   std::lock_guard<sync::Mutex> lock(s.mu);
-  return PoolCounters{s.hits, s.misses, s.evictions, s.writebacks};
+  return PoolCounters{s.hits, s.misses, s.evictions, s.writebacks, s.decodes};
 }
 
 BufferPool::PoolCounters BufferPool::counters() const {
@@ -347,6 +380,7 @@ BufferPool::PoolCounters BufferPool::counters() const {
     total.misses += c.misses;
     total.evictions += c.evictions;
     total.writebacks += c.writebacks;
+    total.decodes += c.decodes;
   }
   return total;
 }

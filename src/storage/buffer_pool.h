@@ -42,6 +42,20 @@
 // written by the single thread building its file, or under the table's
 // exclusive lock). Pin-protocol violations (unpinning an unmapped frame,
 // discarding a pinned page) abort in every build type — see common/check.h.
+//
+// Per-frame decode. Each frame has one opaque slot for a PageDecode: a
+// read-only parse of the frame's bytes built by the layer above (the B-tree
+// keeps its validated btree::NodeView there), so a page is validated once
+// per residency instead of on every visit. The pool never looks inside it.
+// The first reader that parses the bytes publishes the parse with
+// InstallDecode (first install wins; a racing reader gets the winner's), and
+// every later Fetch hands it out with the pin. The slot is emptied whenever
+// the bytes may change or go away: any mutable access through PageRef
+// (DropDecode), MarkDirty, Fetch(create=true) on a resident frame, eviction
+// (clean erase and dirty detach alike), Discard and DropAll. A decode is
+// therefore valid while its page stays pinned and unmodified, and a stale
+// one is never served. Decodes add no I/O: every Fetch/Unpin and every
+// device access is exactly what it would be without them.
 #pragma once
 
 #include <atomic>
@@ -57,6 +71,18 @@
 #include "sync/sync.h"
 
 namespace upi::storage {
+
+/// An immutable parse of one resident page's bytes, owned by its frame.
+/// Layers above the pool derive from it; the pool only stores and drops it.
+class PageDecode {
+ public:
+  PageDecode() = default;
+  PageDecode(const PageDecode&) = default;
+  PageDecode& operator=(const PageDecode&) = default;
+  PageDecode(PageDecode&&) = default;
+  PageDecode& operator=(PageDecode&&) = default;
+  virtual ~PageDecode() = default;
+};
 
 class BufferPool {
  public:
@@ -76,10 +102,22 @@ class BufferPool {
   /// Returns the cached contents of (file, id), pinned. If `create` is true
   /// the page is assumed freshly allocated: no disk read is charged, and any
   /// stale frame cached under a recycled PageId is reset to empty + dirty.
-  std::string* Fetch(PageFile* file, PageId id, bool create = false);
+  /// When `decode` is given it receives the frame's published decode, or
+  /// null if there is none. Mutating the returned bytes directly (not
+  /// through PageRef) must be preceded by DropDecode.
+  std::string* Fetch(PageFile* file, PageId id, bool create = false,
+                     const PageDecode** decode = nullptr);
 
   void Unpin(PageFile* file, PageId id);
   void MarkDirty(PageFile* file, PageId id);
+
+  /// Publishes `decode` as the parse of pinned page (file, id) unless
+  /// another reader already did; returns the one now installed.
+  const PageDecode* InstallDecode(PageFile* file, PageId id,
+                                  std::unique_ptr<const PageDecode> decode);
+  /// Drops the decode of pinned page (file, id): its bytes are about to
+  /// change.
+  void DropDecode(PageFile* file, PageId id);
 
   /// Writes back every dirty frame, in (file-name, page-id) order so a batch
   /// flush of a freshly built file is physically sequential.
@@ -96,12 +134,15 @@ class BufferPool {
 
   /// One shard's (or the whole pool's) served/eviction traffic. `writebacks`
   /// counts pages written to the device from the pool: dirty eviction
-  /// victims plus flush write-backs.
+  /// victims plus flush write-backs. `decodes` counts installed page
+  /// decodes: once per residency for a page only read, again after each
+  /// change, so hits beyond it are visits that skipped re-validation.
   struct PoolCounters {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t writebacks = 0;
+    uint64_t decodes = 0;
   };
 
   uint64_t hits() const;
@@ -156,6 +197,9 @@ class BufferPool {
     int flush_pins = 0;
     uint32_t page_bytes = 0;
     std::list<Key>::iterator lru_it;  // valid when kResident
+    // Parse of `data`, null until a reader installs one; reset whenever
+    // `data` may change or leave the frame.
+    std::unique_ptr<const PageDecode> decode;
   };
 
   struct Shard {
@@ -171,6 +215,7 @@ class BufferPool {
     uint64_t misses = 0;
     uint64_t evictions = 0;   // frames pushed out by capacity pressure
     uint64_t writebacks = 0;  // device writes issued for this shard's frames
+    uint64_t decodes = 0;     // decodes installed into this shard's frames
   };
 
   /// A dirty frame detached for eviction: written back outside the latch.
@@ -181,6 +226,8 @@ class BufferPool {
 
   size_t ShardIndex(const Key& k) const;
   Shard& ShardFor(const Key& k) { return shards_[ShardIndex(k)]; }
+  /// The resident frame of `k`; aborts if `k` has none. Caller holds s.mu.
+  Frame& ResidentFrameLocked(Shard& s, const Key& k);
 
   /// Moves a re-referenced frame to its segment head, promoting cold->hot and
   /// rebalancing the midpoint. Caller holds s.mu.

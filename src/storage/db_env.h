@@ -156,6 +156,7 @@ class DbEnv {
       sharded("upi_bufferpool_misses_total", c.misses);
       sharded("upi_bufferpool_evictions_total", c.evictions);
       sharded("upi_bufferpool_writebacks_total", c.writebacks);
+      sharded("upi_bufferpool_decodes_total", c.decodes);
     }
     snap->gauges.push_back({"upi_bufferpool_cached_bytes", "",
                             static_cast<double>(pool_.cached_bytes())});

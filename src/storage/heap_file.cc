@@ -65,13 +65,14 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
   PageRef ref;
   if (tail_ != kInvalidPage) {
     ref = pager_.Get(tail_);
-    if (!fits(*ref.data())) ref.Release();
+    if (!fits(ref.bytes())) ref.Release();
   }
   if (!ref.valid()) {
     PageId id;
     ref = pager_.New(&id);
-    ref.data()->assign(page_size, '\0');
-    SetHeader(ref.data(), 0, page_size);
+    std::string* fresh = ref.data();
+    fresh->assign(page_size, '\0');
+    SetHeader(fresh, 0, page_size);
     tail_ = id;
   }
 
@@ -105,7 +106,7 @@ Status HeapFile::Delete(Rid rid) {
 
 Status HeapFile::Read(Rid rid, std::string* out) const {
   PageRef ref = pager_.Get(rid.page);
-  const std::string& page = *ref.data();
+  const std::string& page = ref.bytes();
   if (rid.slot >= NumSlots(page)) {
     return Status::NotFound("heap slot out of range: " + rid.ToString());
   }
@@ -121,7 +122,7 @@ void HeapFile::Scan(const std::function<bool(Rid, std::string_view)>& fn) const 
                          0;  // heap never frees pages; ids are dense
   for (PageId pid = 0; pid < total; ++pid) {
     PageRef ref = pager_.Get(pid);
-    const std::string& page = *ref.data();
+    const std::string& page = ref.bytes();
     uint32_t ns = NumSlots(page);
     for (uint32_t s = 0; s < ns; ++s) {
       uint32_t off, len;

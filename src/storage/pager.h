@@ -1,7 +1,15 @@
 // Per-file facade over (PageFile, BufferPool) with RAII page pinning.
 // All index and heap structures do their page I/O through a Pager.
+//
+// A PageRef separates reading from writing: bytes() is the read accessor,
+// and data() is the mutable one. Every data() call drops the frame's
+// published decode (see BufferPool's per-frame decode) before handing out
+// the pointer, so a writer can never leave a stale parse behind, whether or
+// not it goes on to MarkDirty(). Readers therefore use bytes(), and
+// decode()/Publish() to reuse or share the parse of the pinned page.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -17,8 +25,9 @@ class Pager;
 class PageRef {
  public:
   PageRef() = default;
-  PageRef(BufferPool* pool, PageFile* file, PageId id, std::string* data)
-      : pool_(pool), file_(file), id_(id), data_(data) {}
+  PageRef(BufferPool* pool, PageFile* file, PageId id, std::string* data,
+          const PageDecode* decode)
+      : pool_(pool), file_(file), id_(id), data_(data), decode_(decode) {}
   PageRef(PageRef&& o) noexcept { *this = std::move(o); }
   PageRef& operator=(PageRef&& o) noexcept {
     Release();
@@ -26,8 +35,10 @@ class PageRef {
     file_ = o.file_;
     id_ = o.id_;
     data_ = o.data_;
+    decode_ = o.decode_;
     o.pool_ = nullptr;
     o.data_ = nullptr;
+    o.decode_ = nullptr;
     return *this;
   }
   PageRef(const PageRef&) = delete;
@@ -36,14 +47,34 @@ class PageRef {
 
   bool valid() const { return data_ != nullptr; }
   PageId id() const { return id_; }
-  std::string* data() { return data_; }
-  const std::string* data() const { return data_; }
-  void MarkDirty() { pool_->MarkDirty(file_, id_); }
+  /// The page's bytes, for reading.
+  const std::string& bytes() const { return *data_; }
+  /// The page's bytes, for writing: drops the frame's decode first.
+  std::string* data() {
+    pool_->DropDecode(file_, id_);
+    decode_ = nullptr;
+    return data_;
+  }
+  void MarkDirty() {
+    pool_->MarkDirty(file_, id_);
+    decode_ = nullptr;
+  }
+
+  /// The frame's published parse of bytes(), or null if none is.
+  const PageDecode* decode() const { return decode_; }
+  /// Publishes `decode` as the parse of bytes() unless another reader
+  /// already did; returns the one installed, valid while this pin lasts and
+  /// the page is not modified.
+  const PageDecode* Publish(std::unique_ptr<const PageDecode> decode) {
+    decode_ = pool_->InstallDecode(file_, id_, std::move(decode));
+    return decode_;
+  }
 
   void Release() {
     if (pool_ != nullptr && data_ != nullptr) pool_->Unpin(file_, id_);
     pool_ = nullptr;
     data_ = nullptr;
+    decode_ = nullptr;
   }
 
  private:
@@ -51,6 +82,7 @@ class PageRef {
   PageFile* file_ = nullptr;
   PageId id_ = kInvalidPage;
   std::string* data_ = nullptr;
+  const PageDecode* decode_ = nullptr;
 };
 
 class Pager {
@@ -59,13 +91,16 @@ class Pager {
 
   /// Pins an existing page.
   PageRef Get(PageId id) {
-    return PageRef(pool_, file_, id, pool_->Fetch(file_, id, /*create=*/false));
+    const PageDecode* decode = nullptr;
+    std::string* data = pool_->Fetch(file_, id, /*create=*/false, &decode);
+    return PageRef(pool_, file_, id, data, decode);
   }
 
   /// Allocates and pins a fresh page (no read charged).
   PageRef New(PageId* id) {
     *id = file_->Allocate();
-    return PageRef(pool_, file_, *id, pool_->Fetch(file_, *id, /*create=*/true));
+    return PageRef(pool_, file_, *id, pool_->Fetch(file_, *id, /*create=*/true),
+                   /*decode=*/nullptr);
   }
 
   /// Frees a page; its cached frame is discarded without writeback.

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "btree/btree.h"
@@ -769,6 +772,259 @@ TEST(BTreeCursorTest, WalkSurvivesEvictionOfItsLeaf) {
   EXPECT_FALSE(a.Valid());
   EXPECT_FALSE(c.Valid());
   EXPECT_GT(pool.counters().evictions - evictions_before, 1000u);
+}
+
+
+// --- Per-residency decode cache: validated once, never served stale. ---
+
+uint64_t Decodes(const storage::BufferPool& pool) { return pool.counters().decodes; }
+
+/// A bulk-built two-level tree of keys Key(0..n) -> "val<i>".
+BTree BuildTree(storage::Pager pager, int n) {
+  BTreeBuilder b(pager);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(b.Add(Key(i), "val" + std::to_string(i)).ok());
+  }
+  return b.Finish().ValueOrDie();
+}
+
+/// The second child of the root: a leaf, and the first key stored in it.
+std::pair<PageId, std::string> SecondLeaf(storage::Pager* pager, const BTree& t) {
+  Node root;
+  storage::PageRef ref = pager->Get(t.root());
+  EXPECT_TRUE(Node::Deserialize(ref.bytes(), &root).ok());
+  EXPECT_FALSE(root.is_leaf);
+  return {root.children[1].child, root.children[1].key};
+}
+
+/// `page` (a serialized leaf) with the value of its first entry replaced.
+std::string WithFirstValue(const std::string& page, const std::string& value) {
+  Node leaf;
+  EXPECT_TRUE(Node::Deserialize(page, &leaf).ok());
+  leaf.entries[0].value = value;
+  std::string out;
+  leaf.Serialize(&out);
+  return out;
+}
+
+TEST(BTreeDecodeCacheTest, RepeatVisitsDoNotRevalidate) {
+  Fixture fx;
+  BTree t = BuildTree(fx.pager, 3000);
+  ASSERT_EQ(t.height(), 2u);
+  ASSERT_EQ(t.Get(Key(7)).ValueOrDie(), "val7");
+  const uint64_t decodes = Decodes(fx.pool);
+  EXPECT_EQ(decodes, 2u);  // root and leaf, on their first visit
+  const uint64_t hits = fx.pool.counters().hits;
+  ASSERT_EQ(t.Get(Key(8)).ValueOrDie(), "val8");
+  Cursor c = t.Seek(Key(7));
+  ASSERT_TRUE(c.Valid());
+  EXPECT_EQ(c.value(), "val7");
+  // Get: root + leaf; Seek: root + leaf, then the cursor's own leaf copy.
+  EXPECT_EQ(fx.pool.counters().hits - hits, 5u);
+  EXPECT_EQ(Decodes(fx.pool), decodes);
+}
+
+TEST(BTreeDecodeCacheTest, MutationWithoutMarkDirtyIsSeen) {
+  Fixture fx;
+  BTree t = BuildTree(fx.pager, 3000);
+  auto [leaf_id, first_key] = SecondLeaf(&fx.pager, t);
+  const std::string original_value = t.Get(first_key).ValueOrDie();
+  std::string saved;
+  {
+    storage::PageRef ref = fx.pager.Get(leaf_id);
+    saved = ref.bytes();
+    *ref.data() = WithFirstValue(saved, "changed");  // no MarkDirty
+  }
+  EXPECT_EQ(t.Get(first_key).ValueOrDie(), "changed");
+  Cursor c = t.Seek(first_key);
+  ASSERT_TRUE(c.Valid());
+  EXPECT_EQ(c.value(), "changed");
+
+  // A corrupt page fails on every visit: a failed Open is never cached.
+  {
+    storage::PageRef ref = fx.pager.Get(leaf_id);
+    ref.data()->resize(kNodeHeaderSize - 1);
+  }
+  const uint64_t decodes = Decodes(fx.pool);
+  for (int visit = 0; visit < 3; ++visit) {
+    EXPECT_EQ(t.Get(first_key).status().code(), StatusCode::kCorruption);
+    EXPECT_FALSE(t.Seek(first_key).Valid());
+  }
+  EXPECT_EQ(Decodes(fx.pool), decodes);
+  {
+    storage::PageRef ref = fx.pager.Get(leaf_id);
+    *ref.data() = saved;
+  }
+  EXPECT_EQ(t.Get(first_key).ValueOrDie(), original_value);
+}
+
+TEST(BTreeDecodeCacheTest, SplitsAndMergesAreSeenByLaterReads) {
+  Fixture fx;
+  BTree t(fx.pager);
+  std::map<std::string, std::string> oracle;
+  // Reads between writes publish views of the pages the next split or merge
+  // rewrites; every read after it must see the rewritten pages.
+  auto check_all = [&] {
+    for (const auto& [k, v] : oracle) ASSERT_EQ(t.Get(k).ValueOrDie(), v);
+    auto it = oracle.begin();
+    for (Cursor c = t.SeekToFirst(); c.Valid(); c.Next(), ++it) {
+      ASSERT_NE(it, oracle.end());
+      ASSERT_EQ(c.key(), it->first);
+      ASSERT_EQ(c.value(), it->second);
+    }
+    ASSERT_EQ(it, oracle.end());
+  };
+  for (int i = 0; i < 600; ++i) {
+    std::string value(40, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(t.Put(Key(i * 7 % 600), value).ok());
+    oracle[Key(i * 7 % 600)] = value;
+    if (i % 10 == 0) check_all();
+  }
+  ASSERT_GE(t.height(), 2u);
+  for (int i = 0; i < 600; ++i) {
+    if (i % 9 == 0) continue;
+    ASSERT_TRUE(t.Delete(Key(i)).ok());
+    oracle.erase(Key(i));
+    if (i % 10 == 0) check_all();
+  }
+  check_all();
+  ASSERT_TRUE(t.ValidateInvariants().ok());
+}
+
+TEST(BTreeDecodeCacheTest, RecycledPageIdIsReadFresh) {
+  Fixture fx;
+  BTree t = BuildTree(fx.pager, 3000);
+  auto [leaf_id, first_key] = SecondLeaf(&fx.pager, t);
+  ASSERT_TRUE(t.Get(first_key).ok());  // publishes the leaf's view
+  fx.file.Free(leaf_id);                // bypasses Discard on purpose
+  PageId id;
+  {
+    storage::PageRef ref = fx.pager.New(&id);
+    ASSERT_EQ(id, leaf_id);
+    Node fresh;
+    fresh.entries.push_back(LeafEntry{first_key, "fresh"});
+    fresh.Serialize(ref.data());
+    ref.MarkDirty();
+  }
+  EXPECT_EQ(t.Get(first_key).ValueOrDie(), "fresh");
+}
+
+TEST(BTreeDecodeCacheTest, EvictionDiscardAndDropAllReloadDeviceBytes) {
+  sim::SimDisk disk;
+  storage::PageFile file(&disk, "tiny_pool", 4096);
+  storage::BufferPool pool(4 * 4096, /*num_shards=*/1);
+  storage::Pager pager(&pool, &file);
+  const int kN = 8000;
+  BTree t = BuildTree(pager, kN);
+  ASSERT_EQ(t.height(), 2u);
+  ASSERT_GT(t.num_leaf_pages(), 20u);
+  auto [leaf_id, first_key] = SecondLeaf(&pager, t);
+  std::string page;
+  {
+    storage::PageRef ref = pager.Get(leaf_id);
+    page = ref.bytes();
+  }
+
+  // Eviction: the leaf's view is published, then other leaves push the leaf
+  // out, and its bytes change on the device while it is not resident.
+  ASSERT_TRUE(t.Get(first_key).ok());
+  for (int i = kN / 2; i < kN; i += 100) ASSERT_TRUE(t.Get(Key(i)).ok());
+  file.Write(leaf_id, WithFirstValue(page, "after-eviction"));
+  uint64_t misses = pool.counters().misses;
+  EXPECT_EQ(t.Get(first_key).ValueOrDie(), "after-eviction");
+  EXPECT_EQ(pool.counters().misses - misses, 1u);  // the leaf was reloaded
+
+  // Discard.
+  pool.Discard(&file, leaf_id);
+  file.Write(leaf_id, WithFirstValue(page, "after-discard"));
+  EXPECT_EQ(t.Get(first_key).ValueOrDie(), "after-discard");
+
+  // DropAll.
+  pool.DropAll();
+  file.Write(leaf_id, WithFirstValue(page, "after-drop"));
+  EXPECT_EQ(t.Get(first_key).ValueOrDie(), "after-drop");
+
+  // Every reload re-validates: a full pass of point reads through the tiny
+  // pool installs a decode per miss.
+  const uint64_t decodes = Decodes(pool);
+  misses = pool.counters().misses;
+  for (int i = 0; i < kN; i += 37) ASSERT_TRUE(t.Get(Key(i)).ok());
+  EXPECT_EQ(Decodes(pool) - decodes, pool.counters().misses - misses);
+}
+
+class BTreeDecodeCacheOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BTreeDecodeCacheOracleTest, TinyPoolMatchesMapOracle) {
+  // One shard of six pages: writes, evictions, reloads and published views
+  // interleave on every operation.
+  sim::SimDisk disk;
+  storage::PageFile file(&disk, "oracle", 4096);
+  storage::BufferPool pool(6 * 4096, /*num_shards=*/1);
+  BTree t(storage::Pager(&pool, &file));
+  std::map<std::string, std::string> oracle;
+  Rng rng(GetParam());
+  for (int op = 0; op < 5000; ++op) {
+    std::string key = Key(static_cast<int>(rng.Uniform(1200)));
+    double dice = rng.NextDouble();
+    if (dice < 0.4) {
+      std::string value(rng.Uniform(80), static_cast<char>('a' + op % 26));
+      ASSERT_TRUE(t.Put(key, value).ok());
+      oracle[key] = value;
+    } else if (dice < 0.6) {
+      ASSERT_EQ(t.Delete(key).ok(), oracle.erase(key) > 0);
+    } else if (dice < 0.85) {
+      auto got = t.Get(key);
+      auto it = oracle.find(key);
+      if (it == oracle.end()) {
+        ASSERT_TRUE(got.status().IsNotFound());
+      } else {
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got.value(), it->second);
+      }
+    } else {
+      // Seek and walk a few entries.
+      Cursor c = t.Seek(key);
+      auto it = oracle.lower_bound(key);
+      for (int step = 0; step < 5; ++step, c.Next(), ++it) {
+        ASSERT_EQ(c.Valid(), it != oracle.end());
+        if (it == oracle.end()) break;
+        ASSERT_EQ(c.key(), it->first);
+        ASSERT_EQ(c.value(), it->second);
+      }
+    }
+  }
+  ASSERT_TRUE(t.ValidateInvariants().ok());
+  EXPECT_GT(pool.counters().evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BTreeDecodeCacheOracleTest,
+                         ::testing::Values(1, 2, 3, 4));
+
+TEST(BTreeDecodeCacheTest, RacingFirstReadersPublishOneViewPerPage) {
+  // Two readers (as under a shared table lock) descend to the same leaf of
+  // a cold pool at once; both must read correctly and each page must be
+  // decoded into its frame once. Run under TSan in CI.
+  Fixture fx;
+  BTree t = BuildTree(fx.pager, 3000);
+  ASSERT_EQ(t.height(), 2u);
+  for (int iter = 0; iter < 100; ++iter) {
+    fx.pool.DropAll();
+    const uint64_t decodes = Decodes(fx.pool);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {}
+        EXPECT_EQ(t.Get(Key(1234)).ValueOrDie(), "val1234");
+        Cursor c = t.Seek(Key(1234));
+        EXPECT_TRUE(c.Valid());
+        EXPECT_EQ(c.value(), "val1234");
+      });
+    }
+    for (auto& th : readers) th.join();
+    EXPECT_EQ(Decodes(fx.pool) - decodes, 2u);
+  }
 }
 
 }  // namespace

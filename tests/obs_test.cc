@@ -197,6 +197,8 @@ TEST(ObsEngineTest, DatabaseExportsEngineMetricFamilies) {
   EXPECT_GE(snap.Find("upi_planner_plans_total")->value, 1.0);
   EXPECT_GT(snap.SumOf("upi_disk_reads_total"), 0.0);
   EXPECT_GT(snap.SumOf("upi_bufferpool_misses_total"), 0.0);
+  // The cold probe validated and published each B-tree page it read.
+  EXPECT_GT(snap.SumOf("upi_bufferpool_decodes_total"), 0.0);
   EXPECT_NE(snap.Find("upi_bufferpool_cached_bytes"), nullptr);
   // The query histogram saw the execution.
   bool found = false;

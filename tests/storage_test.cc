@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -426,6 +427,178 @@ TEST(BufferPoolTest, ConcurrentFetchersOfOnePageShareOneRead) {
     for (auto& t : threads) t.join();
     // One fetcher loaded; the rest waited on the loading frame's condvar.
     EXPECT_EQ(disk.stats().reads - reads_before, 1u);
+  }
+}
+
+// --- Per-frame decode slot --------------------------------------------------
+
+/// A decode that records the bytes it parsed and, given a counter, counts
+/// its own destruction.
+class CopyDecode : public PageDecode {
+ public:
+  CopyDecode(std::string bytes, int* destroyed)
+      : bytes_(std::move(bytes)), destroyed_(destroyed) {}
+  ~CopyDecode() override {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+  const std::string& bytes() const { return bytes_; }
+
+ private:
+  std::string bytes_;
+  int* destroyed_;
+};
+
+/// Pins `id` and returns its published decode's bytes, installing a fresh
+/// decode first if the frame has none.
+std::string DecodedBytes(Pager* pager, PageId id, int* destroyed) {
+  PageRef ref = pager->Get(id);
+  const PageDecode* d = ref.decode();
+  if (d == nullptr) {
+    d = ref.Publish(std::make_unique<CopyDecode>(ref.bytes(), destroyed));
+  }
+  return static_cast<const CopyDecode*>(d)->bytes();
+}
+
+TEST(BufferPoolDecodeTest, SecondVisitReusesTheDecode) {
+  sim::SimDisk disk;
+  PageFile f(&disk, "t", 4096);
+  BufferPool pool(1 << 20);
+  Pager pager(&pool, &f);
+  PageId id = f.Allocate();
+  f.Write(id, "one");
+  int destroyed = 0;
+  const PageDecode* first = nullptr;
+  {
+    PageRef ref = pager.Get(id);
+    EXPECT_EQ(ref.decode(), nullptr);
+    first = ref.Publish(std::make_unique<CopyDecode>(ref.bytes(), &destroyed));
+    EXPECT_EQ(ref.decode(), first);
+    // A second install on a frame that has one loses; the winner stays.
+    EXPECT_EQ(ref.Publish(std::make_unique<CopyDecode>("x", &destroyed)), first);
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(pool.counters().decodes, 1u);
+  const uint64_t hits_before = pool.counters().hits;
+  {
+    PageRef ref = pager.Get(id);
+    EXPECT_EQ(ref.decode(), first);
+  }
+  EXPECT_EQ(pool.counters().hits, hits_before + 1);
+  EXPECT_EQ(pool.counters().decodes, 1u);  // the visit did not re-decode
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(BufferPoolDecodeTest, EveryWayTheBytesChangeDropsTheDecode) {
+  sim::SimDisk disk;
+  PageFile f(&disk, "t", 4096);
+  BufferPool pool(1 << 20, /*num_shards=*/1);
+  Pager pager(&pool, &f);
+  PageId id = f.Allocate();
+  f.Write(id, "v0");
+  int destroyed = 0;
+  ASSERT_EQ(DecodedBytes(&pager, id, &destroyed), "v0");
+
+  // Mutable access without MarkDirty.
+  {
+    PageRef ref = pager.Get(id);
+    *ref.data() = "v1";
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(DecodedBytes(&pager, id, &destroyed), "v1");
+
+  // MarkDirty alone (a caller that mutated through a pointer it kept).
+  {
+    PageRef ref = pager.Get(id);
+    std::string* bytes = ref.data();
+    EXPECT_EQ(DecodedBytes(&pager, id, &destroyed), "v1");  // re-published
+    *bytes = "v2";
+    ref.MarkDirty();
+  }
+  EXPECT_EQ(DecodedBytes(&pager, id, &destroyed), "v2");
+
+  // Create-fetch of a recycled PageId whose frame is still resident.
+  f.Free(id);  // bypasses Discard on purpose
+  PageId again;
+  {
+    PageRef ref = pager.New(&again);
+    ASSERT_EQ(again, id);
+    EXPECT_EQ(ref.decode(), nullptr);
+    *ref.data() = "v3";
+    ref.MarkDirty();
+  }
+  EXPECT_EQ(DecodedBytes(&pager, id, &destroyed), "v3");
+
+  // Discard, then new bytes on the device.
+  const int before_discard = destroyed;
+  pool.Discard(&f, id);
+  EXPECT_EQ(destroyed, before_discard + 1);
+  f.Write(id, "v4");
+  EXPECT_EQ(DecodedBytes(&pager, id, &destroyed), "v4");
+
+  // DropAll, then new bytes on the device.
+  const int before_drop = destroyed;
+  pool.DropAll();
+  EXPECT_EQ(destroyed, before_drop + 1);
+  f.Write(id, "v5");
+  EXPECT_EQ(DecodedBytes(&pager, id, &destroyed), "v5");
+  EXPECT_EQ(pool.counters().decodes, 7u);
+}
+
+TEST(BufferPoolDecodeTest, EvictionDropsCleanAndDirtyDecodes) {
+  sim::SimDisk disk;
+  PageFile f(&disk, "t", 4096);
+  BufferPool pool(4096, /*num_shards=*/1);  // room for one page
+  Pager pager(&pool, &f);
+  PageId clean = f.Allocate();
+  PageId dirty = f.Allocate();
+  PageId other = f.Allocate();
+  f.Write(clean, "clean");
+  f.Write(dirty, "dirty-old");
+  f.Write(other, "other");
+  int destroyed = 0;
+  ASSERT_EQ(DecodedBytes(&pager, clean, &destroyed), "clean");
+  {
+    PageRef ref = pager.Get(dirty);  // evicts `clean`: erased in place
+    EXPECT_EQ(destroyed, 1);
+    *ref.data() = "dirty-new";
+    ref.MarkDirty();
+  }
+  ASSERT_EQ(DecodedBytes(&pager, dirty, &destroyed), "dirty-new");
+  { PageRef ref = pager.Get(other); }  // evicts `dirty`: detached, written
+  EXPECT_EQ(destroyed, 2);
+  // While evicted, the clean page changes on the device.
+  f.Write(clean, "clean-new");
+  EXPECT_EQ(DecodedBytes(&pager, clean, &destroyed), "clean-new");
+  EXPECT_EQ(DecodedBytes(&pager, dirty, &destroyed), "dirty-new");
+  EXPECT_EQ(pool.counters().evictions, 4u);
+}
+
+TEST(BufferPoolDecodeTest, RacingFirstReadersShareOneDecode) {
+  sim::SimDisk disk;
+  PageFile f(&disk, "t", 4096);
+  BufferPool pool(1 << 20);
+  Pager pager(&pool, &f);
+  PageId id = f.Allocate();
+  f.Write(id, "shared");
+  for (int iter = 0; iter < 50; ++iter) {
+    pool.DropAll();
+    const uint64_t decodes_before = pool.counters().decodes;
+    std::atomic<int> ready{0};
+    const PageDecode* seen[2] = {nullptr, nullptr};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        PageRef ref = pager.Get(id);
+        ready.fetch_add(1);
+        while (ready.load() < 2) {}  // both pinned, neither published
+        auto mine = std::make_unique<CopyDecode>(ref.bytes(), nullptr);
+        seen[t] = ref.Publish(std::move(mine));
+        EXPECT_EQ(static_cast<const CopyDecode*>(seen[t])->bytes(), "shared");
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(seen[0], seen[1]);
+    EXPECT_EQ(pool.counters().decodes, decodes_before + 1);
   }
 }
 
