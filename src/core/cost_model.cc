@@ -1,5 +1,6 @@
 #include "core/cost_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/fractured_upi.h"
@@ -21,20 +22,16 @@ TableStats TableStats::Of(const FracturedUpi& fractured) {
   TableStats s;
   s.page_size = fractured.options().page_size;
   uint32_t max_h = 1;
-  if (fractured.main() != nullptr) {
-    TableStats m = Of(*fractured.main());
+  uint32_t n = 0;
+  fractured.ForEachFractureShared([&](const Upi& u) {
+    TableStats m = Of(u);
     s.table_bytes += m.table_bytes;
     s.num_leaf_pages += m.num_leaf_pages;
-    max_h = m.btree_height;
-  }
-  for (const auto& f : fractured.fractures()) {
-    TableStats m = Of(*f);
-    s.table_bytes += m.table_bytes;
-    s.num_leaf_pages += m.num_leaf_pages;
-    if (m.btree_height > max_h) max_h = m.btree_height;
-  }
+    max_h = std::max(max_h, m.btree_height);
+    ++n;
+  });
   s.btree_height = max_h;
-  s.num_fractures = static_cast<uint32_t>(fractured.num_fractures());
+  s.num_fractures = n;
   return s;
 }
 

@@ -20,12 +20,11 @@
 //    outright — and top-k drops fractures whose max probability cannot beat
 //    the running k-th score.
 //
-// Summaries live in RAM beside the fracture list (a real system would append
+// Summaries live in RAM with their fracture (a real system would append
 // them to the fracture's footer page; at a few hundred bytes per fracture the
 // simulated-I/O cost is below one page and is not charged). They are
-// immutable after Build(), shared by pointer, and swapped together with the
-// fracture list under the table's exclusive lock — queries prune lock-free
-// off whatever snapshot they fanned out over.
+// immutable after Build() and published with the fracture in the table's
+// FractureSet — queries prune lock-free off the snapshot they took.
 #pragma once
 
 #include <cstdint>

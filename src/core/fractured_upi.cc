@@ -43,6 +43,31 @@ Status MergeTrees(const std::vector<const btree::BTree*>& trees,
 
 }  // namespace
 
+Fracture::~Fracture() {
+  if (!retired_.load()) return;
+  // Merged away and no longer listed by any snapshot: free its storage.
+  // The B-tree handles go first, then each file's frames and pages.
+  const std::vector<storage::PageFile*> files = upi_->files();
+  upi_.reset();
+  for (storage::PageFile* f : files) env_->RemoveFile(f);
+}
+
+namespace {
+
+bool IsDeletedIn(const FractureSet& set,
+                 const std::vector<TupleId>* buffered_deletes, TupleId id) {
+  return set.deleted.contains(id) ||
+         (buffered_deletes != nullptr &&
+          std::binary_search(buffered_deletes->begin(),
+                             buffered_deletes->end(), id));
+}
+
+}  // namespace
+
+bool FractureSnapshot::IsDeleted(TupleId id) const {
+  return IsDeletedIn(*set, buffered_deletes.get(), id);
+}
+
 FracturedUpi::FracturedUpi(storage::DbEnv* env, std::string name,
                            catalog::Schema schema, UpiOptions options,
                            std::vector<int> secondary_columns)
@@ -51,6 +76,7 @@ FracturedUpi::FracturedUpi(storage::DbEnv* env, std::string name,
       schema_(std::move(schema)),
       options_(options),
       secondary_columns_(std::move(secondary_columns)),
+      set_(std::make_shared<const FractureSet>()),
       m_fractures_probed_(
           env->metrics()->counter("upi_pruning_fractures_probed_total")),
       m_fractures_pruned_(
@@ -88,20 +114,33 @@ bool FracturedUpi::SkipFracture(const FractureSummary* summary, int column,
   return r != FractureSummary::SkipReason::kNone;
 }
 
+std::shared_ptr<const FractureSet> FracturedUpi::Publish(
+    std::shared_ptr<const FractureSet> next) {
+  std::shared_ptr<const FractureSet> old = std::move(set_);
+  set_ = std::move(next);
+  stats_epoch_.fetch_add(1, std::memory_order_relaxed);
+  return old;
+}
+
 Status FracturedUpi::BuildMain(const std::vector<Tuple>& tuples) {
   std::unique_lock lock(mu_);
-  if (main_ != nullptr) return Status::Internal("main fracture already built");
-  UPI_ASSIGN_OR_RETURN(main_, Upi::Build(env_, name_ + ".main", schema_,
-                                         options_, secondary_columns_, tuples));
-  main_summary_ = SummarizeTuples(tuples);
-  main_and_fracture_tuples_ = tuples.size();
-  stats_epoch_.fetch_add(1, std::memory_order_relaxed);
+  if (set_->has_main) return Status::Internal("main fracture already built");
+  UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> main,
+                       Upi::Build(env_, name_ + ".main", schema_, options_,
+                                  secondary_columns_, tuples));
+  auto next = std::make_shared<FractureSet>(*set_);
+  next->slots.insert(next->slots.begin(),
+                     std::make_shared<const Fracture>(env_, std::move(main),
+                                                      SummarizeTuples(tuples)));
+  next->has_main = true;
+  main_and_fracture_tuples_ += tuples.size();
+  Publish(std::move(next));  // the replaced set lists nothing retired
   return Status::OK();
 }
 
 Status FracturedUpi::Insert(const Tuple& tuple) {
   std::unique_lock lock(mu_);
-  if (IsDeleted(tuple.id())) {
+  if (IsDeletedIn(*set_, buffer_deletes_.get(), tuple.id())) {
     return Status::InvalidArgument("TupleId reuse after deletion is not allowed");
   }
   std::string buf;
@@ -123,13 +162,19 @@ Status FracturedUpi::Delete(TupleId id) {
     buffer_.erase(it);  // never reached disk; no delete-set entry needed
     return Status::OK();
   }
-  buffer_deletes_.insert(id);
+  // Copy on write: probes that captured the old vector keep reading it.
+  auto next = buffer_deletes_ == nullptr
+                  ? std::make_shared<std::vector<TupleId>>()
+                  : std::make_shared<std::vector<TupleId>>(*buffer_deletes_);
+  auto pos = std::lower_bound(next->begin(), next->end(), id);
+  if (pos != next->end() && *pos == id) return Status::OK();
+  next->insert(pos, id);
+  buffer_deletes_ = std::move(next);
   return Status::OK();
 }
 
-void FracturedUpi::PersistDeleteSet(const std::string& name,
-                                    const std::vector<TupleId>& ids) {
-  if (ids.empty()) return;
+storage::PageFile* FracturedUpi::PersistDeleteSet(
+    const std::string& name, const std::vector<TupleId>& ids) {
   storage::PageFile* file = env_->CreateFile(name, options_.page_size);
   const size_t per_page = options_.page_size / 8;
   std::string page;
@@ -141,6 +186,7 @@ void FracturedUpi::PersistDeleteSet(const std::string& name,
     storage::PageId pid = file->Allocate();
     file->Write(pid, page);  // sequential batch write
   }
+  return file;
 }
 
 void FracturedUpi::EnableAdaptiveTuning(std::vector<WorkloadQuery> workload,
@@ -180,7 +226,7 @@ Status FracturedUpi::FlushBuffer() {
   Status s;
   {
     std::unique_lock lock(mu_);
-    did_work = !buffer_.empty() || !buffer_deletes_.empty();
+    did_work = !buffer_.empty() || buffer_deletes_ != nullptr;
     s = FlushBufferLocked();
   }
   if (s.ok() && did_work) FireMaintenanceHook(MaintenanceEvent::kFlush, 0);
@@ -188,9 +234,10 @@ Status FracturedUpi::FlushBuffer() {
 }
 
 Status FracturedUpi::FlushBufferLocked() {
-  if (buffer_.empty() && buffer_deletes_.empty()) return Status::OK();
+  if (buffer_.empty() && buffer_deletes_ == nullptr) return Status::OK();
   RetuneFromBuffer();
   std::string frac_name = name_ + ".frac" + std::to_string(fracture_seq_++);
+  auto next = std::make_shared<FractureSet>(*set_);
   if (!buffer_.empty()) {
     std::vector<Tuple> tuples;
     tuples.reserve(buffer_.size());
@@ -200,49 +247,47 @@ Status FracturedUpi::FlushBufferLocked() {
     UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> frac,
                          Upi::Build(env_, frac_name, schema_, options_,
                                     secondary_columns_, tuples));
-    fractures_.push_back(std::move(frac));
-    fracture_summaries_.push_back(SummarizeTuples(tuples));
+    next->slots.push_back(std::make_shared<const Fracture>(
+        env_, std::move(frac), SummarizeTuples(tuples)));
     main_and_fracture_tuples_ += buffer_.size();
   }
-  if (!buffer_deletes_.empty()) {
-    std::vector<TupleId> ids(buffer_deletes_.begin(), buffer_deletes_.end());
-    PersistDeleteSet(frac_name + ".delset", ids);
-    deleted_.insert(buffer_deletes_.begin(), buffer_deletes_.end());
+  if (buffer_deletes_ != nullptr) {
+    delsets_.push_back(
+        PersistDeleteSet(frac_name + ".delset", *buffer_deletes_));
+    next->deleted.insert(buffer_deletes_->begin(), buffer_deletes_->end());
   }
   buffer_.clear();
   buffer_bytes_ = 0;
-  buffer_deletes_.clear();
+  buffer_deletes_.reset();
   env_->pool()->FlushAll();
-  stats_epoch_.fetch_add(1, std::memory_order_relaxed);
+  // The replaced set lists only fractures the new one keeps, so dropping it
+  // here, under the lock, frees nothing.
+  Publish(std::move(next));
   return Status::OK();
 }
 
 uint64_t FracturedUpi::num_live_tuples() const {
   std::shared_lock lock(mu_);
-  return main_and_fracture_tuples_ + buffer_.size() - deleted_.size() -
-         buffer_deletes_.size();
+  return main_and_fracture_tuples_ + buffer_.size() - set_->deleted.size() -
+         BufferedDeleteCount();
 }
 
 double FracturedUpi::EstimateSelectivity(std::string_view value,
                                          double qt) const {
-  std::shared_lock lock(mu_);
   double hits = 0.0, total = 0.0;
-  auto add = [&](const Upi& u) {
+  ForEachFractureShared([&](const Upi& u) {
     const auto& h = u.prob_histogram();
     hits += h.EstimateHeapHits(value, qt, u.options().cutoff);
     total += h.EstimateTotalHeapEntries(u.options().cutoff);
-  };
-  if (main_ != nullptr) add(*main_);
-  for (const auto& f : fractures_) add(*f);
+  });
   if (total <= 0) return 0.0;
   double s = hits / total;
   return s > 1.0 ? 1.0 : s;
 }
 
 uint64_t FracturedUpi::size_bytes() const {
-  std::shared_lock lock(mu_);
-  uint64_t total = main_ != nullptr ? main_->size_bytes() : 0;
-  for (const auto& f : fractures_) total += f->size_bytes();
+  uint64_t total = 0;
+  ForEachFractureShared([&](const Upi& u) { total += u.size_bytes(); });
   return total;
 }
 
@@ -250,45 +295,27 @@ uint64_t FracturedUpi::size_bytes() const {
 // Queries: the RAM buffer, then the one pruned fan-out (Section 4.2)
 // ---------------------------------------------------------------------------
 
-const Upi& FracturedUpi::FractureAt(size_t slot) const {
-  if (main_ != nullptr) {
-    if (slot == 0) return *main_;
-    --slot;
-  }
-  return *fractures_[slot];
-}
-
-const FractureSummary* FracturedUpi::SummaryAt(size_t slot) const {
-  if (main_ != nullptr) {
-    if (slot == 0) return main_summary_.get();
-    --slot;
-  }
-  return slot < fracture_summaries_.size() ? fracture_summaries_[slot].get()
-                                           : nullptr;
-}
-
-PruneSet FracturedUpi::FanOut(int column, std::string_view value,
-                              double qt) const {
-  PruneSet set;
+PruneSet FracturedUpi::FanOut(const FractureSet& set, int column,
+                              std::string_view value, double qt) const {
+  PruneSet fanout;
   const int col = ResolveColumn(column);
-  const size_t n = FractureCount();
-  set.probe.reserve(n);
-  for (size_t slot = 0; slot < n; ++slot) {
-    const bool skip =
-        qt >= 0.0 && SkipFracture(SummaryAt(slot), col, value, qt);
-    set.probe.push_back(!skip);
-    ++(skip ? set.pruned : set.probed);
+  fanout.probe.reserve(set.slots.size());
+  for (const auto& f : set.slots) {
+    const bool skip = qt >= 0.0 && SkipFracture(f->summary(), col, value, qt);
+    fanout.probe.push_back(!skip);
+    ++(skip ? fanout.pruned : fanout.probed);
   }
-  return set;
+  return fanout;
 }
 
-void FracturedUpi::RecordFanout(const PruneSet& fanout) const {
+void FracturedUpi::RecordFanout(const FractureSet& set,
+                                const PruneSet& fanout) const {
   if (obs::QueryTrace* trace = obs::CurrentTrace(); trace != nullptr) {
     for (size_t slot = 0; slot < fanout.probe.size(); ++slot) {
       if (fanout.probe[slot]) continue;
       // A pruned fracture is a real plan node with provably-zero actuals.
       obs::TraceOp op;
-      op.label = FractureAt(slot).name();
+      op.label = set.upi(slot).name();
       op.pruned = true;
       trace->ops.push_back(std::move(op));
     }
@@ -301,20 +328,19 @@ void FracturedUpi::RecordFanout(const PruneSet& fanout) const {
 
 PruneSet FracturedUpi::ForQuery(int column, std::string_view value,
                                 double qt) const {
-  std::shared_lock lock(mu_);
-  return FanOut(column, value, qt);
+  return FanOut(*snapshot(), column, value, qt);
 }
 
 PruneEstimate FracturedUpi::EstimatePrune(int column, std::string_view value,
                                           double qt) const {
-  std::shared_lock lock(mu_);
-  const PruneSet fanout = FanOut(column, value, qt);
+  const std::shared_ptr<const FractureSet> set = snapshot();
+  const PruneSet fanout = FanOut(*set, column, value, qt);
   PruneEstimate pe;
   pe.total_fractures = static_cast<uint32_t>(fanout.probe.size());
   pe.probed_fractures = static_cast<double>(fanout.probed);
   for (size_t slot = 0; slot < fanout.probe.size(); ++slot) {
     if (fanout.probe[slot]) {
-      pe.probed_bytes += FractureAt(slot).heap_tree()->size_bytes();
+      pe.probed_bytes += set->upi(slot).heap_tree()->size_bytes();
     }
   }
   if (pe.total_fractures == 0) {
@@ -322,6 +348,14 @@ PruneEstimate FracturedUpi::EstimatePrune(int column, std::string_view value,
     pe.probed_fractures = 1.0;
   }
   return pe;
+}
+
+FractureSnapshot FracturedUpi::TakeSnapshot(
+    int column, std::string_view value, double qt,
+    std::vector<PtqMatch>* buffer_rows) const {
+  std::shared_lock lock(mu_);
+  ScanBuffer(column, value, qt, buffer_rows);
+  return FractureSnapshot{set_, buffer_deletes_};
 }
 
 void FracturedUpi::ScanBuffer(int column, std::string_view value, double qt,
@@ -354,40 +388,38 @@ FracturedPtqCursor FracturedUpi::OpenPtqCursor(std::string_view value,
 Status FracturedUpi::QueryBySecondary(int column, std::string_view value,
                                       double qt, SecondaryAccessMode mode,
                                       std::vector<PtqMatch>* out) const {
-  std::shared_lock lock(mu_);
-  ScanBuffer(column, value, qt, out);
+  const FractureSnapshot snap = TakeSnapshot(column, value, qt, out);
   // The summary fences cover every secondary alternative, so a fracture
   // whose zone/Bloom/max-prob summary rules the probe out never opens.
-  const PruneSet fanout = FanOut(column, value, qt);
+  const PruneSet fanout = FanOut(*snap.set, column, value, qt);
   obs::TraceOpScope op_scope;  // re-arms at each fracture boundary
   for (size_t slot = 0; slot < fanout.probe.size(); ++slot) {
     if (!fanout.probe[slot]) continue;
-    const Upi& upi = FractureAt(slot);
+    const Upi& upi = snap.set->upi(slot);
     upi.heap_file_->ChargeOpen();  // per-fracture Costinit
     std::vector<PtqMatch> part;
     UPI_RETURN_NOT_OK(upi.QueryBySecondary(column, value, qt, mode, &part));
     uint64_t rows = 0;
     for (PtqMatch& m : part) {
-      if (IsDeleted(m.id)) continue;
+      if (snap.IsDeleted(m.id)) continue;
       out->push_back(std::move(m));
       ++rows;
     }
     if (op_scope.active()) op_scope.Finish(upi.name(), rows);
   }
-  RecordFanout(fanout);
+  RecordFanout(*snap.set, fanout);
   return Status::OK();
 }
 
 Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
                                std::vector<PtqMatch>* out) const {
-  std::shared_lock lock(mu_);
   if (k == 0) return Status::OK();
   std::vector<PtqMatch> all;
   // Buffer candidates compete at any confidence (no threshold in top-k),
   // and at qt = 0 the shared decision skips only fractures that cannot
   // contain `value` at all.
-  ScanBuffer(-1, value, 0.0, &all);
-  PruneSet fanout = FanOut(-1, value, 0.0);
+  const FractureSnapshot snap = TakeSnapshot(-1, value, 0.0, &all);
+  PruneSet fanout = FanOut(*snap.set, -1, value, 0.0);
   const int col = options_.cluster_column;
   // Running k-th-best bound: a min-heap of the k highest confidences seen so
   // far. A later fracture must beat heap.top() to change the answer.
@@ -407,7 +439,7 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
     // The one dynamic skip: no alternative can beat the current k-th score
     // (strictly — a tie could still win its id tie-break, so equality must
     // probe).
-    const FractureSummary* s = SummaryAt(slot);
+    const FractureSummary* s = snap.set->slots[slot]->summary();
     if (options_.enable_pruning && s != nullptr && best.size() >= k &&
         s->MaxProb(col) < best.top()) {
       fanout.probe[slot] = false;
@@ -415,7 +447,7 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
       ++fanout.pruned;
       continue;
     }
-    const Upi& upi = FractureAt(slot);
+    const Upi& upi = snap.set->upi(slot);
     // Per-fracture Costinit: heap now, the cutoff index if (and when) the
     // stream actually consults it.
     upi.heap_file_->ChargeOpen();
@@ -425,7 +457,7 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
     // k surviving rows per fracture suffice: the global top-k is contained
     // in the union of per-fracture (delete-filtered) top-k streams.
     while (got < k && c.Next(&m)) {
-      if (IsDeleted(m.id)) continue;
+      if (snap.IsDeleted(m.id)) continue;
       note(m.confidence);
       all.push_back(std::move(m));
       ++got;
@@ -433,7 +465,7 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
     UPI_RETURN_NOT_OK(c.status());
     if (op_scope.active()) op_scope.Finish(upi.name(), got);
   }
-  RecordFanout(fanout);
+  RecordFanout(*snap.set, fanout);
   SortByConfidenceDesc(&all);
   if (all.size() > k) all.resize(k);
   out->insert(out->end(), std::make_move_iterator(all.begin()),
@@ -444,22 +476,27 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
 Status FracturedUpi::ScanTuples(
     int column, std::string_view value, double qt,
     const std::function<void(const catalog::Tuple&)>& fn) const {
-  std::shared_lock lock(mu_);
   std::set<catalog::TupleId> seen;
-  // The RAM buffer first: its tuples shadow nothing (TupleIds are unique),
-  // and emitting them costs no I/O. It has no summary, so it is never
-  // pruned — the scan-filter caller re-checks the predicate anyway.
-  for (const auto& [id, bt] : buffer_) {
-    seen.insert(id);
-    fn(bt.tuple);
+  FractureSnapshot snap;
+  {
+    // The RAM buffer first, under the shared lock: its tuples shadow
+    // nothing (TupleIds are unique), and emitting them costs no I/O. It has
+    // no summary, so it is never pruned — the scan-filter caller re-checks
+    // the predicate anyway.
+    std::shared_lock lock(mu_);
+    for (const auto& [id, bt] : buffer_) {
+      seen.insert(id);
+      fn(bt.tuple);
+    }
+    TraceBuffer(buffer_.size());
+    snap = FractureSnapshot{set_, buffer_deletes_};
   }
-  TraceBuffer(buffer_.size());
-  const PruneSet fanout = FanOut(column, value, qt);
+  const PruneSet fanout = FanOut(*snap.set, column, value, qt);
   Status st = Status::OK();
   obs::TraceOpScope op_scope;  // re-arms at each fracture boundary
   for (size_t slot = 0; slot < fanout.probe.size() && st.ok(); ++slot) {
     if (!fanout.probe[slot]) continue;
-    const Upi& upi = FractureAt(slot);
+    const Upi& upi = snap.set->upi(slot);
     uint64_t emitted = 0;
     upi.heap_file_->ChargeOpen();  // per-fracture Costinit
     upi.ScanHeap([&](std::string_view key, std::string_view tuple_bytes) {
@@ -471,7 +508,7 @@ Status FracturedUpi::ScanTuples(
         return;
       }
       // The heap duplicates a tuple per qualifying alternative: report once.
-      if (IsDeleted(k.id) || !seen.insert(k.id).second) return;
+      if (snap.IsDeleted(k.id) || !seen.insert(k.id).second) return;
       auto tuple = catalog::Tuple::Deserialize(tuple_bytes);
       if (!tuple.ok()) {
         st = tuple.status();
@@ -483,7 +520,7 @@ Status FracturedUpi::ScanTuples(
     if (op_scope.active()) op_scope.Finish(upi.name(), emitted);
   }
   // The unfiltered sweep (qt < 0) is no probe: it moves no fan-out counter.
-  if (qt >= 0.0) RecordFanout(fanout);
+  if (qt >= 0.0) RecordFanout(*snap.set, fanout);
   return st;
 }
 
@@ -493,12 +530,12 @@ Status FracturedUpi::ScanTuples(
 
 FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
                                        std::string_view value, double qt)
-    : lock_(table->mu_), table_(table), value_(value), qt_(qt) {
+    : value_(value), qt_(qt) {
   // The RAM buffer's matches are collected eagerly — they cost no I/O and
   // stream first.
-  table_->ScanBuffer(-1, value_, qt_, &buffer_rows_);
-  fanout_ = table_->FanOut(-1, value_, qt_);
-  table_->RecordFanout(fanout_);
+  snap_ = table->TakeSnapshot(-1, value_, qt_, &buffer_rows_);
+  fanout_ = table->FanOut(*snap_.set, -1, value_, qt_);
+  table->RecordFanout(*snap_.set, fanout_);
 }
 
 bool FracturedPtqCursor::Next(PtqMatch* out) {
@@ -513,7 +550,7 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
         ++next_slot_;
       }
       if (next_slot_ >= fanout_.probe.size()) return false;
-      const Upi* u = &table_->FractureAt(next_slot_++);
+      const Upi* u = &snap_.set->upi(next_slot_++);
       // Opening the fracture is where its Costinit lands (the Section 6.2
       // Nfrac term): heap file now, cutoff file when the stream actually
       // consults it (qt < C and the consumer drains past the heap phase).
@@ -526,7 +563,7 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
     }
     PtqMatch m;
     while (cur_->Next(&m)) {
-      if (table_->IsDeleted(m.id)) continue;
+      if (snap_.IsDeleted(m.id)) continue;
       *out = std::move(m);
       ++cur_rows_;
       return true;
@@ -546,11 +583,10 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
 // Merge (Section 4.3)
 // ---------------------------------------------------------------------------
 
-Result<std::unique_ptr<Upi>> FracturedUpi::MergeUpis(
+Result<std::shared_ptr<const Fracture>> FracturedUpi::MergeUpis(
     const std::vector<const Upi*>& sources, const std::string& merged_name,
     const std::set<catalog::TupleId>& deleted,
-    std::set<catalog::TupleId>* filtered_ids,
-    std::shared_ptr<const FractureSummary>* summary_out) {
+    std::set<catalog::TupleId>* filtered_ids) {
   // The merged fracture's pruning summary accumulates from the same streams
   // the merge already walks — no extra I/O.
   FractureSummary::Builder summary;
@@ -741,70 +777,81 @@ Result<std::unique_ptr<Upi>> FracturedUpi::MergeUpis(
 
   merged->histogram_ = std::move(merged_hist);
   merged->num_tuples_ = distinct_tuples;
-  *summary_out = summary.Build();
-  return merged;
+  merged->TrackFiles();
+  return std::make_shared<const Fracture>(env_, std::move(merged),
+                                          summary.Build());
 }
 
 Status FracturedUpi::MergeAll() {
-  // Phase 1 (exclusive): flush pending buffers and snapshot the sources plus
-  // the delete set, so the build can run without the lock.
-  std::vector<const Upi*> sources;
+  // Phase 1 (exclusive): flush pending buffers and take the snapshot the
+  // build reads, so it can run without the lock.
+  std::shared_ptr<const FractureSet> base;
   std::string merged_name;
-  std::set<catalog::TupleId> deleted_snapshot;
-  size_t delta_count = 0;
+  size_t delsets_merged = 0;
   {
     std::unique_lock lock(mu_);
     UPI_RETURN_NOT_OK(FlushBufferLocked());
-    if (main_ == nullptr && fractures_.empty()) return Status::OK();
-    if (main_ != nullptr) sources.push_back(main_.get());
-    for (const auto& f : fractures_) sources.push_back(f.get());
-    delta_count = fractures_.size();
-    deleted_snapshot = deleted_;
+    if (set_->slots.empty()) return Status::OK();
+    base = set_;
+    delsets_merged = delsets_.size();
     merged_name = name_ + ".merged" + std::to_string(fracture_seq_++);
   }
 
   // Phase 2 (no lock): the expensive sort-merge. Concurrent queries keep
-  // fanning out over the unchanged source fractures.
+  // fanning out over their own snapshots.
+  std::vector<const Upi*> sources;
+  for (const auto& f : base->slots) sources.push_back(&f->upi());
   std::set<catalog::TupleId> filtered;
-  std::shared_ptr<const FractureSummary> merged_summary;
-  UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> merged,
-                       MergeUpis(sources, merged_name, deleted_snapshot,
-                                 &filtered, &merged_summary));
+  UPI_ASSIGN_OR_RETURN(std::shared_ptr<const Fracture> merged,
+                       MergeUpis(sources, merged_name, base->deleted, &filtered));
 
   // Phase 3 (exclusive): atomic install. Fractures flushed *during* the
   // build (possible only via a direct caller; the manager serializes
-  // maintenance) sit past delta_count and survive the swap.
+  // maintenance) sit past the snapshot's slots and survive the swap.
+  std::shared_ptr<const FractureSet> old;
+  std::vector<storage::PageFile*> dead_delsets;
   {
     std::unique_lock lock(mu_);
-    main_ = std::move(merged);
-    main_summary_ = std::move(merged_summary);
-    // The summary list is parallel to the fracture list (SummaryAt pairs
-    // them by index); a drifted pair would mis-prune and silently drop rows,
-    // so fail fast instead.
-    UPI_CHECK(fracture_summaries_.size() == fractures_.size(),
-              "fracture/summary lists out of lockstep");
-    fractures_.erase(fractures_.begin(), fractures_.begin() + delta_count);
-    fracture_summaries_.erase(fracture_summaries_.begin(),
-                              fracture_summaries_.begin() + delta_count);
-    main_and_fracture_tuples_ = main_->num_tuples();
-    for (const auto& f : fractures_) main_and_fracture_tuples_ += f->num_tuples();
-    // TupleIds are never reused, so a filtered id cannot exist elsewhere.
-    // Ids deleted after the snapshot stay until the next merge.
-    for (catalog::TupleId id : filtered) deleted_.erase(id);
-    // Phantom deletes (ids that never matched any entry) are retired too when
-    // nothing remains that could contain them.
-    if (fractures_.empty()) {
-      for (auto it = deleted_.begin(); it != deleted_.end();) {
-        if (deleted_snapshot.contains(*it)) {
-          it = deleted_.erase(it);
-        } else {
-          ++it;
-        }
+    UPI_CHECK(set_->slots.size() >= base->slots.size(),
+              "fracture list shrank under a merge");
+    auto next = std::make_shared<FractureSet>();
+    next->has_main = true;
+    next->slots.push_back(merged);
+    for (size_t i = 0; i < set_->slots.size(); ++i) {
+      if (i < base->slots.size()) {
+        UPI_CHECK(set_->slots[i] == base->slots[i],
+                  "fracture list changed under a merge");
+        base->slots[i]->Retire();
+      } else {
+        next->slots.push_back(set_->slots[i]);
       }
     }
+    main_and_fracture_tuples_ = 0;
+    for (const auto& f : next->slots) {
+      main_and_fracture_tuples_ += f->upi().num_tuples();
+    }
+    // TupleIds are never reused, so a filtered id cannot exist elsewhere.
+    // Ids deleted after the snapshot stay until the next merge. Phantom
+    // deletes (ids that never matched any entry) are retired too when
+    // nothing remains that could contain them.
+    const bool only_main = next->slots.size() == 1;
+    for (catalog::TupleId id : set_->deleted) {
+      if (filtered.contains(id)) continue;
+      if (only_main && base->deleted.contains(id)) continue;
+      next->deleted.insert(next->deleted.end(), id);
+    }
+    // Every delete set flushed before the snapshot is merged in.
+    dead_delsets.assign(delsets_.begin(), delsets_.begin() + delsets_merged);
+    delsets_.erase(delsets_.begin(), delsets_.begin() + delsets_merged);
+    old = Publish(std::move(next));
   }
+  // Unlocked: dropping the last snapshots of the merged-away fractures
+  // frees their storage (Fracture::~Fracture); cursors still reading them
+  // keep them until they close.
+  old.reset();
+  base.reset();
+  for (storage::PageFile* f : dead_delsets) env_->RemoveFile(f);
   env_->pool()->FlushAll();
-  stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   FireMaintenanceHook(MaintenanceEvent::kMergeAll, 0);
   return Status::OK();
 }
@@ -813,48 +860,59 @@ Status FracturedUpi::MergeOldestFractures(size_t count) {
   const size_t requested = count;
   // Same three-phase structure as MergeAll; only the `count` oldest delta
   // fractures are touched, so the build cost is proportional to the deltas.
-  std::vector<const Upi*> sources;
+  std::shared_ptr<const FractureSet> base;
   std::string merged_name;
-  std::set<catalog::TupleId> deleted_snapshot;
+  size_t first = 0;  // slot of the oldest delta
   {
     std::unique_lock lock(mu_);
     UPI_RETURN_NOT_OK(FlushBufferLocked());
-    if (count > fractures_.size()) count = fractures_.size();
+    count = std::min(count, set_->num_deltas());
     if (count < 2) return Status::OK();
-    for (size_t i = 0; i < count; ++i) sources.push_back(fractures_[i].get());
-    deleted_snapshot = deleted_;
+    base = set_;
+    first = base->has_main ? 1 : 0;
     merged_name = name_ + ".partial" + std::to_string(fracture_seq_++);
   }
 
+  std::vector<const Upi*> sources;
+  for (size_t i = first; i < first + count; ++i) {
+    sources.push_back(&base->upi(i));
+  }
   std::set<catalog::TupleId> filtered;
-  std::shared_ptr<const FractureSummary> merged_summary;
-  UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> merged,
-                       MergeUpis(sources, merged_name, deleted_snapshot,
-                                 &filtered, &merged_summary));
+  UPI_ASSIGN_OR_RETURN(std::shared_ptr<const Fracture> merged,
+                       MergeUpis(sources, merged_name, base->deleted, &filtered));
 
+  std::shared_ptr<const FractureSet> old;
   {
     std::unique_lock lock(mu_);
+    UPI_CHECK(set_->has_main == base->has_main &&
+                  set_->slots.size() >= first + count,
+              "fracture list changed under a merge");
+    auto next = std::make_shared<FractureSet>();
+    next->has_main = set_->has_main;
+    for (size_t i = 0; i < set_->slots.size(); ++i) {
+      if (i < first || i >= first + count) {
+        next->slots.push_back(set_->slots[i]);
+        continue;
+      }
+      UPI_CHECK(set_->slots[i] == base->slots[i],
+                "fracture list changed under a merge");
+      base->slots[i]->Retire();
+      if (i == first) next->slots.push_back(merged);
+    }
+    for (size_t i = first; i < first + count; ++i) {
+      main_and_fracture_tuples_ -= base->upi(i).num_tuples();
+    }
+    main_and_fracture_tuples_ += merged->upi().num_tuples();
     // TupleIds are unique across the table, so a deleted id filtered out here
     // cannot exist elsewhere: retire it from the delete set and the counters.
-    for (catalog::TupleId id : filtered) deleted_.erase(id);
-    uint64_t merged_sources_tuples = 0;
-    for (size_t i = 0; i < count; ++i) {
-      merged_sources_tuples += fractures_[i]->num_tuples();
+    for (catalog::TupleId id : set_->deleted) {
+      if (!filtered.contains(id)) next->deleted.insert(next->deleted.end(), id);
     }
-    main_and_fracture_tuples_ -= merged_sources_tuples;
-    main_and_fracture_tuples_ += merged->num_tuples();
-
-    UPI_CHECK(fracture_summaries_.size() == fractures_.size(),
-              "fracture/summary lists out of lockstep");
-    fractures_.erase(fractures_.begin(), fractures_.begin() + count);
-    fractures_.insert(fractures_.begin(), std::move(merged));
-    fracture_summaries_.erase(fracture_summaries_.begin(),
-                              fracture_summaries_.begin() + count);
-    fracture_summaries_.insert(fracture_summaries_.begin(),
-                               std::move(merged_summary));
+    old = Publish(std::move(next));
   }
+  old.reset();
+  base.reset();
   env_->pool()->FlushAll();
-  stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   // Logged with the *requested* count: replay re-clamps against the same
   // fracture list, so the recovered layout matches.
   FireMaintenanceHook(MaintenanceEvent::kMergePartial, requested);

@@ -21,15 +21,32 @@
 // adaptive-design hook; see core/advisor.h).
 //
 // Concurrency contract (for the background maintenance subsystem in
-// src/maintenance/): a shared_mutex guards the fracture list and RAM buffers.
-// Queries and Insert/Delete may run from any number of threads. Merges do
-// their expensive build phase *without* the lock — concurrent queries keep
-// fanning out over the old fracture list — and take the exclusive lock only
-// to swap the new list in atomically. At most ONE maintenance operation
-// (FlushBuffer / MergeAll / MergeOldestFractures) may be in flight at a time;
-// MaintenanceManager serializes them per table. Flushes hold the exclusive
-// lock end-to-end (they are sequential appends, cheap next to merges), which
-// keeps the buffered tuples visible to every query.
+// src/maintenance/): readers work on snapshots. The on-disk state a probe
+// reads — the main and delta fractures, their summaries and the flushed
+// delete set — is one immutable FractureSet behind a shared_ptr, and every
+// fracture in it is written once and never updated in place. A probe takes
+// the shared_mutex only for its RAM work: it copies the set pointer, scans
+// the insert buffer and captures the buffered deletes as they are at open.
+// Its fan-out, page reads and delete filtering then run with no table lock,
+// so no reader ever waits on the disk or the buffer pool while holding it,
+// and a cursor left open blocks nobody. Queries and Insert/Delete may run
+// from any number of threads.
+//
+// Flushes and merge installs build a new set and swap the pointer under the
+// exclusive lock; a merge drops the set it replaced only after releasing the
+// lock (a flush's predecessor lists nothing it frees). At most ONE
+// maintenance operation (FlushBuffer / MergeAll / MergeOldestFractures) may
+// be in flight at a time; MaintenanceManager serializes them per table. A merge builds without the lock, reading the
+// snapshot it took, and locks only to install. A flush holds the exclusive
+// lock end-to-end (sequential appends, cheap next to a merge), which keeps
+// the buffered tuples visible to every probe that starts meanwhile.
+//
+// Reclamation: a merge marks the fractures it replaces retired. They stay
+// readable for as long as any snapshot lists them; the thread that drops
+// the last reference frees their buffer-pool frames and page files
+// (DbEnv::RemoveFile), outside every table latch. A MergeAll also frees the
+// delete-set files flushed before its snapshot. Destroying the table frees
+// nothing: its files live as long as the environment, as a plain Upi's do.
 #pragma once
 
 #include <atomic>
@@ -53,6 +70,56 @@ namespace upi::core {
 
 class FracturedUpi;
 
+/// One on-disk fracture: a UPI written once and never updated in place, and
+/// its pruning summary. Shared by every FractureSet that lists it. A merge
+/// that replaces it calls Retire(); the thread that then drops the last
+/// reference frees its buffer-pool frames and page files.
+class Fracture {
+ public:
+  Fracture(storage::DbEnv* env, std::unique_ptr<Upi> upi,
+           std::shared_ptr<const FractureSummary> summary)
+      : env_(env), upi_(std::move(upi)), summary_(std::move(summary)) {}
+  Fracture(const Fracture&) = delete;
+  Fracture& operator=(const Fracture&) = delete;
+  ~Fracture();
+
+  const Upi& upi() const { return *upi_; }
+  /// Null only for a fracture built without one (never by FracturedUpi).
+  const FractureSummary* summary() const { return summary_.get(); }
+  void Retire() const { retired_.store(true); }
+
+ private:
+  storage::DbEnv* env_;
+  std::unique_ptr<Upi> upi_;
+  std::shared_ptr<const FractureSummary> summary_;
+  mutable std::atomic<bool> retired_{false};
+};
+
+/// The on-disk state a probe reads, published as one immutable snapshot.
+struct FractureSet {
+  /// Fan-out order: the main fracture first when one exists, then the
+  /// deltas oldest first. A table grown purely from flushes has no main.
+  std::vector<std::shared_ptr<const Fracture>> slots;
+  bool has_main = false;
+  /// Union of all flushed delete sets (each flush also persists its own).
+  std::set<catalog::TupleId> deleted;
+
+  const Upi* main() const { return has_main ? &slots.front()->upi() : nullptr; }
+  size_t num_deltas() const { return slots.size() - (has_main ? 1 : 0); }
+  const Upi& upi(size_t slot) const { return slots[slot]->upi(); }
+};
+
+/// What a probe captures at open: the fracture set and the buffered
+/// deletes, both immutable, so it reads them with no table lock.
+struct FractureSnapshot {
+  std::shared_ptr<const FractureSet> set;
+  /// Sorted; null when nothing was buffered.
+  std::shared_ptr<const std::vector<catalog::TupleId>> buffered_deletes;
+
+  /// True when `id` is in a flushed or a buffered delete set.
+  bool IsDeleted(catalog::TupleId id) const;
+};
+
 /// Pull-based streaming PTQ over a Fractured UPI: the pruned fan-out,
 /// executed lazily. Construction scans the RAM buffer (free) and takes the
 /// table's fan-out decision; each admitted fracture is opened — Costinit
@@ -62,14 +129,11 @@ class FracturedUpi;
 /// per row. Rows stream buffer first, then fracture by fracture in storage
 /// order; engine::AccessPath::QueryPtq is this cursor drained and sorted.
 ///
-/// Holds the table's shared lock for its lifetime: results stay consistent
-/// while background maintenance runs, but a flush/merge *install* (and any
-/// Insert/Delete) blocks until the cursor is destroyed — drain promptly, and
-/// never touch the same table from the same thread while one is open: a
-/// write would self-deadlock, and even a second read re-enters the
-/// shared_mutex (UB that can deadlock behind a queued writer). The lock-rank
-/// checker (UPI_SYNC_CHECKS) aborts on either. Destroy the cursor on the
-/// thread that opened it.
+/// Reads the snapshot taken at construction and holds no lock: its rows are
+/// those of the table as it was at open, whatever inserts, deletes, flushes
+/// and merges land while it drains, and none of those waits for it. The
+/// fractures it reads stay allocated until it is destroyed, so drop it once
+/// drained. It must not outlive the table.
 class FracturedPtqCursor {
  public:
   /// Produces the next match; false at end of stream or on error (check
@@ -87,8 +151,7 @@ class FracturedPtqCursor {
   FracturedPtqCursor(const FracturedUpi* table, std::string_view value,
                      double qt);
 
-  std::shared_lock<sync::SharedMutex> lock_;
-  const FracturedUpi* table_;
+  FractureSnapshot snap_;
   std::string value_;
   double qt_ = 0.0;
   std::vector<PtqMatch> buffer_rows_;
@@ -164,9 +227,10 @@ class FracturedUpi {
 
   // --- Probes -------------------------------------------------------------
   //
-  // Every probe reads the RAM buffer first (no I/O), then the fractures the
-  // table's one fan-out decision admits for its (column, value, qt) — main
-  // first, then the deltas in list order — charging each opened fracture's
+  // Every probe reads the snapshot it takes at open (see the file header):
+  // the RAM buffer first (no I/O), then the fractures the table's one
+  // fan-out decision admits for its (column, value, qt) — main first, then
+  // the deltas in list order — charging each opened fracture's
   // Costinit, and drops rows in the flushed or buffered delete sets. Under
   // a QueryTrace each probed fracture becomes one TraceOp and each pruned
   // one a zero-I/O [pruned] TraceOp; each probe moves the fan-out counters
@@ -174,7 +238,7 @@ class FracturedUpi {
 
   /// Streaming PTQ on the clustered attribute (Algorithm 2 per fracture),
   /// fractures opened lazily; see FracturedPtqCursor for ordering and the
-  /// lock-lifetime contract.
+  /// snapshot it reads.
   FracturedPtqCursor OpenPtqCursor(std::string_view value, double qt) const;
 
   /// Secondary-index probe on `column` (Algorithm 3 per fracture when
@@ -226,31 +290,20 @@ class FracturedUpi {
     return fractures_probed_total_.load(std::memory_order_relaxed);
   }
 
-  /// Summary snapshots (unsynchronized, like main()/fractures(): only safe
-  /// while no maintenance operation is in flight).
-  const FractureSummary* main_summary() const { return main_summary_.get(); }
-  const std::vector<std::shared_ptr<const FractureSummary>>&
-  fracture_summaries() const {
-    return fracture_summaries_;
-  }
-
   // --- Tuning / introspection ---------------------------------------------
 
   UpiOptions* mutable_options() { return &options_; }
   const UpiOptions& options() const { return options_; }
   /// Number of on-disk fractures including the main one (the cost model's
   /// Nfrac).
-  size_t num_fractures() const {
-    std::shared_lock lock(mu_);
-    return FractureCount();
-  }
+  size_t num_fractures() const { return snapshot()->slots.size(); }
   size_t buffered_inserts() const {
     std::shared_lock lock(mu_);
     return buffer_.size();
   }
   size_t buffered_deletes() const {
     std::shared_lock lock(mu_);
-    return buffer_deletes_.size();
+    return BufferedDeleteCount();
   }
   /// Serialized footprint of the RAM insert buffer (the byte watermark the
   /// maintenance flush policy checks).
@@ -268,7 +321,7 @@ class FracturedUpi {
   };
   BufferWatermarks buffer_watermarks() const {
     std::shared_lock lock(mu_);
-    return {buffer_.size(), buffer_bytes_, buffer_deletes_.size()};
+    return {buffer_.size(), buffer_bytes_, BufferedDeleteCount()};
   }
   uint64_t num_live_tuples() const;
   uint64_t size_bytes() const;
@@ -281,19 +334,22 @@ class FracturedUpi {
   /// Aggregated histogram estimate across main + fractures: the fraction of
   /// all heap entries a PTQ(value, qt) scans — the Section 6.2 Selectivity.
   double EstimateSelectivity(std::string_view value, double qt) const;
-  /// Unsynchronized structural accessors: only safe while no maintenance
-  /// operation is in flight (single-threaded benches/tests, or between
-  /// MaintenanceManager tasks).
-  Upi* main() const { return main_.get(); }
-  const std::vector<std::unique_ptr<Upi>>& fractures() const { return fractures_; }
-  /// Iterates main + every delta fracture under the shared lock — safe while
-  /// background maintenance runs (installed fractures are immutable; the list
-  /// swap takes the exclusive lock). The engine's planner reads stats and
+  /// The current fracture set. Holding it keeps every fracture it lists
+  /// readable, even after a merge has replaced them.
+  std::shared_ptr<const FractureSet> snapshot() const {
+    std::shared_lock lock(mu_);
+    return set_;
+  }
+  /// The current main fracture, or null. The pointer stays valid until a
+  /// merge replaces that fracture: hold snapshot() instead while
+  /// maintenance may run.
+  const Upi* main() const { return snapshot()->main(); }
+  /// Calls `fn` on main + every delta fracture of one snapshot — safe while
+  /// background maintenance runs. The engine's planner reads stats and
   /// histograms through this.
   void ForEachFractureShared(const std::function<void(const Upi&)>& fn) const {
-    std::shared_lock lock(mu_);
-    if (main_ != nullptr) fn(*main_);
-    for (const auto& f : fractures_) fn(*f);
+    const std::shared_ptr<const FractureSet> set = snapshot();
+    for (const auto& f : set->slots) fn(f->upi());
   }
   const catalog::Schema& schema() const { return schema_; }
   const std::string& name() const { return name_; }
@@ -306,68 +362,66 @@ class FracturedUpi {
     if (maintenance_hook_) maintenance_hook_(event, merge_count);
   }
 
-  /// True when `id` is in a flushed or a still-buffered delete set. Caller
-  /// holds at least the shared lock.
-  bool IsDeleted(catalog::TupleId id) const {
-    return deleted_.contains(id) || buffer_deletes_.contains(id);
+  /// A probe's RAM work, under the shared lock: appends the buffer's
+  /// matches of (column, value, qt) to `buffer_rows` (see ScanBuffer) and
+  /// captures the snapshot the probe then reads without the lock.
+  FractureSnapshot TakeSnapshot(int column, std::string_view value, double qt,
+                                std::vector<PtqMatch>* buffer_rows) const;
+  size_t BufferedDeleteCount() const {
+    return buffer_deletes_ == nullptr ? 0 : buffer_deletes_->size();
   }
   void RetuneFromBuffer();
   /// FlushBuffer body; caller holds the exclusive lock.
   Status FlushBufferLocked();
+  /// Publishes `next` as the fracture set and returns the one it replaces,
+  /// which the caller drops after releasing the exclusive lock it holds.
+  std::shared_ptr<const FractureSet> Publish(
+      std::shared_ptr<const FractureSet> next);
   /// True when the summary proves a probe (column, value, qt) cannot match
-  /// anything in the fracture. Caller holds at least the shared lock;
-  /// `column` is a concrete schema column index. Never skips when pruning is
-  /// disabled or the summary is missing.
+  /// anything in the fracture. `column` is a concrete schema column index.
+  /// Never skips when pruning is disabled or the summary is missing.
   bool SkipFracture(const FractureSummary* summary, int column,
                     std::string_view value, double qt) const;
-  /// The one fan-out decision: which on-disk fractures a probe on (column,
+  /// The one fan-out decision: which fractures of `set` a probe on (column,
   /// value, qt) opens, one slot per fracture in fan-out order (see
   /// ForQuery). qt < 0 is the unfiltered sweep and admits every fracture.
-  /// Caller holds at least the shared lock. No I/O, records nothing.
-  PruneSet FanOut(int column, std::string_view value, double qt) const;
+  /// No I/O, records nothing.
+  PruneSet FanOut(const FractureSet& set, int column, std::string_view value,
+                  double qt) const;
   /// Books an executed fan-out: one zero-I/O [pruned] TraceOp per skipped
   /// slot on the current trace, and its probe/prune counts added once to
   /// the table atomics and the engine-wide registry counters.
-  void RecordFanout(const PruneSet& fanout) const;
+  void RecordFanout(const FractureSet& set, const PruneSet& fanout) const;
   /// Maps the query convention (column < 0 = clustered attribute) to a
   /// concrete schema column.
   int ResolveColumn(int column) const {
     return column < 0 ? options_.cluster_column : column;
   }
-  /// On-disk fractures, main included. Caller holds at least the shared
-  /// lock.
-  size_t FractureCount() const {
-    return (main_ != nullptr ? 1 : 0) + fractures_.size();
-  }
-  /// The fracture in fan-out slot `slot` and its summary (nullptr when
-  /// absent). Caller holds at least the shared lock.
-  const Upi& FractureAt(size_t slot) const;
-  const FractureSummary* SummaryAt(size_t slot) const;
   /// Builds the summary of a fracture about to be flushed/bulk-built: every
   /// clustered-column alternative (heap *and* cutoff — both are reachable by
   /// queries), every secondary-column alternative, every TupleId.
   std::shared_ptr<const FractureSummary> SummarizeTuples(
       const std::vector<catalog::Tuple>& tuples) const;
-  /// Sort-merges `sources` into a fresh Upi, filtering ids in `deleted` (a
-  /// snapshot taken under the lock, so the build can run lock-free). Dropped
-  /// ids are added to `filtered_ids`; the merged fracture's summary is built
-  /// from the merge streams and returned through `summary_out`.
-  Result<std::unique_ptr<Upi>> MergeUpis(const std::vector<const Upi*>& sources,
-                                         const std::string& merged_name,
-                                         const std::set<catalog::TupleId>& deleted,
-                                         std::set<catalog::TupleId>* filtered_ids,
-                                         std::shared_ptr<const FractureSummary>*
-                                             summary_out);
+  /// Sort-merges `sources` into a fresh fracture, filtering ids in `deleted`
+  /// (part of the snapshot the merge holds, so the build runs lock-free).
+  /// Dropped ids are added to `filtered_ids`; the merged fracture's summary
+  /// is built from the merge streams.
+  Result<std::shared_ptr<const Fracture>> MergeUpis(
+      const std::vector<const Upi*>& sources, const std::string& merged_name,
+      const std::set<catalog::TupleId>& deleted,
+      std::set<catalog::TupleId>* filtered_ids);
   /// Appends the RAM buffer's matches of (column, value, qt) — column < 0
   /// is the clustered attribute — and traces them as one zero-I/O op.
+  /// Caller holds mu_.
   void ScanBuffer(int column, std::string_view value, double qt,
                   std::vector<PtqMatch>* out) const;
   /// Appends the RAM buffer's TraceOp (`rows` rows, no I/O) to the current
   /// trace, if any, when `rows` > 0.
   void TraceBuffer(uint64_t rows) const;
-  /// Writes `ids` sequentially to a fresh delete-set file (cost accounting).
-  void PersistDeleteSet(const std::string& name,
-                        const std::vector<catalog::TupleId>& ids);
+  /// Writes `ids` sequentially to a fresh delete-set file (cost accounting)
+  /// and returns it.
+  storage::PageFile* PersistDeleteSet(const std::string& name,
+                                      const std::vector<catalog::TupleId>& ids);
 
   storage::DbEnv* env_;
   std::string name_;
@@ -378,19 +432,17 @@ class FracturedUpi {
   /// Fired (without mu_) after a flush/merge completes; see SetMaintenanceHook.
   std::function<void(MaintenanceEvent, size_t)> maintenance_hook_;
 
-  /// Guards fracture list, buffers, delete sets, and counters. Shared:
-  /// queries/introspection. Exclusive: Insert/Delete (cheap RAM mutation),
-  /// flush, and merge installation.
+  /// Guards set_, the RAM buffers, delsets_ and the tuple count. Shared: a
+  /// probe's RAM work and introspection. Exclusive: Insert/Delete (cheap RAM
+  /// mutation), a whole flush, and a merge's snapshot and install steps.
   mutable sync::SharedMutex mu_{sync::LockRank::kFracturedUpi};
 
-  std::unique_ptr<Upi> main_;
-  std::vector<std::unique_ptr<Upi>> fractures_;
-  /// Pruning summaries, parallel to main_/fractures_ and swapped with them
-  /// under the exclusive lock (shared_ptr: an in-flight lazy cursor may
-  /// outlive the list entry it pruned against).
-  std::shared_ptr<const FractureSummary> main_summary_;
-  std::vector<std::shared_ptr<const FractureSummary>> fracture_summaries_;
+  /// Never null; replaced, never modified, once published.
+  std::shared_ptr<const FractureSet> set_;
   int fracture_seq_ = 0;
+  /// Delete-set files in flush order; a MergeAll frees those flushed before
+  /// its snapshot.
+  std::vector<storage::PageFile*> delsets_;
 
   // Adaptive per-fracture tuning (empty workload = disabled).
   std::vector<WorkloadQuery> tuning_workload_;
@@ -404,10 +456,10 @@ class FracturedUpi {
   };
   std::unordered_map<catalog::TupleId, BufferedTuple> buffer_;
   uint64_t buffer_bytes_ = 0;  // serialized footprint of buffer_
-  std::set<catalog::TupleId> buffer_deletes_;  // deletions not yet flushed
-  // Union of all flushed delete sets (each fracture also persists its own).
-  std::set<catalog::TupleId> deleted_;
-  uint64_t deleted_count_applied_ = 0;
+  /// Deletions not yet flushed, sorted; null when empty. Copied on write by
+  /// each Delete (O(buffered deletes), bounded by the flush watermark), so
+  /// a probe captures it with one pointer copy.
+  std::shared_ptr<const std::vector<catalog::TupleId>> buffer_deletes_;
   uint64_t main_and_fracture_tuples_ = 0;
   std::atomic<uint64_t> stats_epoch_{0};
   mutable std::atomic<uint64_t> fractures_pruned_total_{0};

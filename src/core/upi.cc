@@ -31,6 +31,20 @@ Upi::Upi(storage::DbEnv* env, std::string name, catalog::Schema schema,
   heap_ = std::make_unique<btree::BTree>(env_->MakePager(heap_file_));
   cutoff_ = std::make_unique<CutoffIndex>(env_, name_ + ".cutoff",
                                           options_.page_size);
+  TrackFiles();
+}
+
+void Upi::TrackFiles() {
+  auto track = [this](storage::PageFile* f) {
+    if (std::find(files_.begin(), files_.end(), f) == files_.end()) {
+      files_.push_back(f);
+    }
+  };
+  track(heap_file_);
+  track(cutoff_->tree()->pager()->file());
+  for (const auto& [col, sec] : secondaries_) {
+    track(sec->tree()->pager()->file());
+  }
 }
 
 Status Upi::AddSecondaryColumn(int column) {
@@ -47,6 +61,7 @@ Status Upi::AddSecondaryColumn(int column) {
       env_, name_ + ".sec." + schema_.column(column).name, options_.page_size,
       options_.max_secondary_pointers);
   sec_histograms_.emplace(column, histogram::ProbHistogram{});
+  TrackFiles();
   return Status::OK();
 }
 
@@ -286,6 +301,7 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
   }
 
   upi->num_tuples_ = tuples.size();
+  upi->TrackFiles();
   env->pool()->FlushAll();
   return upi;
 }

@@ -199,6 +199,10 @@ class Upi {
   uint64_t num_tuples() const { return num_tuples_; }
   uint64_t heap_entries() const { return heap_->num_entries(); }
   uint64_t size_bytes() const;
+  /// Every page file this UPI has created, the empty placeholders a bulk
+  /// build or merge replaced included: what freeing the UPI's storage must
+  /// remove.
+  const std::vector<storage::PageFile*>& files() const { return files_; }
   /// Monotonic counter bumped by every Insert/Delete — the cost-model inputs
   /// moved. Prepared-plan caches compare it to decide when to re-plan.
   uint64_t stats_epoch() const {
@@ -224,6 +228,8 @@ class Upi {
                                 const AltPartition& part);
   Status RemoveSecondaryEntries(const catalog::Tuple& tuple);
   Status FetchHeapTuple(const std::string& heap_key, catalog::Tuple* out) const;
+  /// Adds the heap, cutoff and secondary files now in use to files_.
+  void TrackFiles();
 
   storage::DbEnv* env_;
   std::string name_;
@@ -240,6 +246,7 @@ class Upi {
   std::map<int, histogram::ProbHistogram> sec_histograms_;
   uint64_t num_tuples_ = 0;
   std::atomic<uint64_t> stats_epoch_{0};
+  std::vector<storage::PageFile*> files_;
 };
 
 }  // namespace upi::core

@@ -15,7 +15,7 @@ double AvgEntryBytes(uint64_t table_bytes, uint64_t entries) {
 
 /// ResultCursor over a core algorithm cursor: core::UpiPtqCursor (streaming
 /// Algorithm 2) or core::FracturedPtqCursor (the pruned fan-out, executed
-/// lazily; holds the table's shared lock for the cursor's lifetime).
+/// lazily over the snapshot it took at open).
 template <typename CoreCursor>
 class CoreStreamCursor : public ResultCursor {
  public:
@@ -233,8 +233,8 @@ const std::string& FracturedAccessPath::name() const { return table_->name(); }
 
 void FracturedAccessPath::ForEachUpi(
     const std::function<void(const core::Upi&)>& fn) const {
-  // Shared-lock iteration: installed fractures are immutable and the list
-  // swap takes the exclusive lock, so planning stays safe while background
+  // One snapshot of the fracture set: installed fractures are immutable and
+  // stay alive while it is held, so planning stays safe while background
   // maintenance workers merge underneath.
   table_->ForEachFractureShared(fn);
 }

@@ -234,8 +234,8 @@ class UpiAccessPath : public AccessPath {
 /// fractures — pruned through the per-fracture summaries (zone maps, Bloom
 /// fences, max-probability cutoffs) unless UpiOptions::enable_pruning is
 /// off; the estimation hooks aggregate per-fracture stats and histograms
-/// under the table's shared lock, so planning (like querying) is safe while
-/// background maintenance workers merge underneath.
+/// over one snapshot of the fracture set, so planning (like querying) is
+/// safe while background maintenance workers merge underneath.
 class FracturedAccessPath : public AccessPath {
  public:
   explicit FracturedAccessPath(const core::FracturedUpi* table)
@@ -245,9 +245,8 @@ class FracturedAccessPath : public AccessPath {
   const catalog::Schema& schema() const override { return table_->schema(); }
   PathStats Stats() const override;
 
-  /// Streaming PTQ over the pruned fan-out, fractures opened lazily. Holds
-  /// the table's shared lock until destroyed (see core::FracturedPtqCursor):
-  /// drain promptly and never write to this table while one is open.
+  /// Streaming PTQ over the pruned fan-out, fractures opened lazily, read
+  /// from the snapshot taken at open (see core::FracturedPtqCursor).
   std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
                                               double qt) const override;
   /// FracturedUpi::QueryTopK with k = the consumer's limit, at first pull.

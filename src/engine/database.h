@@ -64,10 +64,10 @@ class Table {
   /// on a plain UPI table) walks live index pages — drain it before any
   /// Insert/Delete on this table, and do not hold it across another
   /// session's writes. A fractured PTQ cursor streams the pruned fan-out
-  /// lazily while *holding the table's shared lock*: results stay
-  /// consistent under background maintenance, but writes and maintenance
-  /// installs on that table block until it is destroyed — drain promptly,
-  /// and never write to the table from the thread holding the cursor.
+  /// lazily from the snapshot it took at open and holds no lock: writes and
+  /// maintenance on that table proceed while it drains and do not change
+  /// its rows, but the fractures it reads stay allocated until it is
+  /// destroyed.
   /// Remaining fan-out and union plans (secondary probes, scans, threshold
   /// top-k) compute their rows in one call at the first pull and hold
   /// nothing afterwards.

@@ -10,7 +10,7 @@
 // carries back — clients never need to touch thread_stats() themselves.
 //
 // Sessions add no locking of their own around table access: the storage
-// engine below (sharded buffer pool, fracture shared locks, striped disk
+// engine below (sharded buffer pool, fracture-set snapshots, striped disk
 // stats) is what lets many sessions overlap.
 #pragma once
 

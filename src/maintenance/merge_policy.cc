@@ -79,8 +79,7 @@ Decision MergePolicy::DecideMerge(const core::FracturedUpi& table) const {
       core::CostModel(profile_, merged_stats).FracturedQueryMs(sel);
   if (!options_.merges_enabled) return d;
 
-  const size_t deltas =
-      table.num_fractures() - (table.main() != nullptr ? 1 : 0);
+  const size_t deltas = table.snapshot()->num_deltas();
   if (deltas < 1) return d;  // nothing to repay
 
   // Full merge past the deterioration knee: the query is paying several times

@@ -233,9 +233,9 @@ void BufferPool::DropDecode(PageFile* file, PageId id) {
   ResidentFrameLocked(s, k).decode.reset();
 }
 
-std::vector<BufferPool::Key> BufferPool::CollectDirty(
+std::vector<BufferPool::DirtyPage> BufferPool::CollectDirty(
     const PageFile* only_file) {
-  std::vector<Key> dirty;
+  std::vector<DirtyPage> dirty;
   for (size_t i = 0; i < shards_count_; ++i) {
     Shard& s = shards_[i];
     std::lock_guard<sync::Mutex> lock(s.mu);
@@ -248,7 +248,7 @@ std::vector<BufferPool::Key> BufferPool::CollectDirty(
     for (auto& [k, f] : s.frames) {
       if (f.state == Frame::State::kResident && f.dirty &&
           (only_file == nullptr || k.file == only_file)) {
-        dirty.push_back(k);
+        dirty.push_back(DirtyPage{k.file->name(), k});
       }
     }
   }
@@ -286,19 +286,22 @@ void BufferPool::WriteBackOne(const Key& k) {
 }
 
 void BufferPool::FlushAll() {
-  std::vector<Key> dirty = CollectDirty(nullptr);
-  std::sort(dirty.begin(), dirty.end(), [](const Key& a, const Key& b) {
-    if (a.file != b.file) return a.file->name() < b.file->name();
-    return a.id < b.id;
-  });
-  for (const Key& k : dirty) WriteBackOne(k);
+  std::vector<DirtyPage> dirty = CollectDirty(nullptr);
+  std::sort(dirty.begin(), dirty.end(),
+            [](const DirtyPage& a, const DirtyPage& b) {
+              if (a.key.file != b.key.file) return a.file_name < b.file_name;
+              return a.key.id < b.key.id;
+            });
+  for (const DirtyPage& d : dirty) WriteBackOne(d.key);
 }
 
 void BufferPool::FlushFile(PageFile* file) {
-  std::vector<Key> dirty = CollectDirty(file);
+  std::vector<DirtyPage> dirty = CollectDirty(file);
   std::sort(dirty.begin(), dirty.end(),
-            [](const Key& a, const Key& b) { return a.id < b.id; });
-  for (const Key& k : dirty) WriteBackOne(k);
+            [](const DirtyPage& a, const DirtyPage& b) {
+              return a.key.id < b.key.id;
+            });
+  for (const DirtyPage& d : dirty) WriteBackOne(d.key);
 }
 
 void BufferPool::DropAll() {
@@ -346,6 +349,26 @@ void BufferPool::Discard(PageFile* file, PageId id) {
     s.frames.erase(it);
     return;
   }
+}
+
+uint64_t BufferPool::CachedBytesOf(PageFile* file) const {
+  uint64_t total = 0;
+  const auto pages = static_cast<PageId>(file->size_bytes() / file->page_size());
+  for (PageId id = 0; id < pages; ++id) {
+    const Key k{file, id};
+    const Shard& s = shards_[ShardIndex(k)];
+    std::lock_guard<sync::Mutex> lock(s.mu);
+    auto it = s.frames.find(k);
+    if (it != s.frames.end() && it->second.state == Frame::State::kResident) {
+      total += it->second.page_bytes;
+    }
+  }
+  return total;
+}
+
+void BufferPool::DiscardFile(PageFile* file) {
+  const auto pages = static_cast<PageId>(file->size_bytes() / file->page_size());
+  for (PageId id = 0; id < pages; ++id) Discard(file, id);
 }
 
 uint64_t BufferPool::hits() const {

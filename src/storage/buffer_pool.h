@@ -132,6 +132,12 @@ class BufferPool {
   /// Drops the frame for a page being freed, discarding dirty data.
   void Discard(PageFile* file, PageId id);
 
+  /// Discards every frame of `file`, which is about to be freed: frame keys
+  /// compare PageFile addresses, so a frame left behind could be served to
+  /// a later file allocated at the same address. Waits out frames in flight
+  /// to or from the device; none may be pinned.
+  void DiscardFile(PageFile* file);
+
   /// One shard's (or the whole pool's) served/eviction traffic. `writebacks`
   /// counts pages written to the device from the pool: dirty eviction
   /// victims plus flush write-backs. `decodes` counts installed page
@@ -154,6 +160,10 @@ class BufferPool {
   uint64_t cached_bytes() const {
     return cached_bytes_.load(std::memory_order_relaxed);
   }
+  /// The part of cached_bytes() holding pages of `file` (diagnostics: a
+  /// pool whose files' shares do not add up to cached_bytes() caches pages
+  /// of a file that no longer exists).
+  uint64_t CachedBytesOf(PageFile* file) const;
   size_t num_shards() const { return shards_count_; }
 
   /// Shard a page maps to (exposed for shard-distribution tests).
@@ -242,11 +252,17 @@ class BufferPool {
   std::vector<Victim> DetachVictimsLocked(Shard& s);
   /// Erases detached victims after their write-back and wakes waiters.
   void FinishVictimsLocked(Shard& s, const std::vector<Victim>& victims);
+  /// A dirty page to write back, with its file's name copied while the
+  /// frame pinned the file alive (the file may be freed before the sort).
+  struct DirtyPage {
+    std::string file_name;
+    Key key;
+  };
   /// Snapshots the keys of dirty *resident* frames (optionally of one file).
   /// Loading frames are skipped (their creator holds the pin mid-write) and
   /// kWriting victims are already being written — so flushes never block on
   /// other pages' in-flight I/O.
-  std::vector<Key> CollectDirty(const PageFile* only_file);
+  std::vector<DirtyPage> CollectDirty(const PageFile* only_file);
   /// Writes back one page if it is still mapped, resident, and dirty; the
   /// frame is pinned and snapshotted so the device write happens outside the
   /// shard latch.

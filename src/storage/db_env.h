@@ -1,8 +1,9 @@
 // A "database environment": one simulated disk plus one buffer pool shared by
 // all files of a database, mirroring a BerkeleyDB environment. Owns the page
-// files it creates.
+// files it creates; a file lives until RemoveFile or the environment's end.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -11,6 +12,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "sim/sim_disk.h"
@@ -92,6 +94,26 @@ class DbEnv {
     return log_files_.back().get();
   }
 
+  /// Frees a page file nobody references any more (a fracture a merge
+  /// replaced): first its buffer-pool frames, then the file and its page
+  /// contents. The name stays reserved, and the disk's address space is not
+  /// reused, so later files land where they would have without the removal.
+  /// Caller holds no latch: the discard may wait out in-flight write-backs.
+  void RemoveFile(PageFile* file) {
+    pool_.DiscardFile(file);
+    std::unique_ptr<PageFile> doomed;
+    {
+      std::lock_guard<sync::Mutex> lock(files_mu_);
+      auto it = std::find_if(files_.begin(), files_.end(),
+                             [file](const auto& f) { return f.get() == file; });
+      UPI_CHECK(it != files_.end(), "RemoveFile of a file this env does not own");
+      doomed = std::move(*it);
+      *it = std::move(files_.back());
+      files_.pop_back();
+      ++files_removed_;
+    }
+  }
+
   Pager MakePager(PageFile* file) { return Pager(&pool_, file); }
 
   /// The cold-cache protocol from Section 7.1 ("performed with a cold
@@ -109,12 +131,23 @@ class DbEnv {
   const sim::CostParams& params() const { return disk_.params(); }
   const sim::DeviceProfile& profile() const { return disk_.profile(); }
 
-  /// Total footprint of all files (the paper's "DB size").
+  /// Total footprint of all live files (the paper's "DB size").
   uint64_t TotalFileBytes() const {
     std::lock_guard<sync::Mutex> lock(files_mu_);
     uint64_t total = 0;
     for (const auto& f : files_) total += f->size_bytes();
     return total;
+  }
+  /// True while a page file named `name` is live (created, not removed).
+  bool HasFile(const std::string& name) const {
+    std::lock_guard<sync::Mutex> lock(files_mu_);
+    return std::any_of(files_.begin(), files_.end(),
+                       [&name](const auto& f) { return f->name() == name; });
+  }
+  /// Page files freed by RemoveFile so far.
+  uint64_t files_removed() const {
+    std::lock_guard<sync::Mutex> lock(files_mu_);
+    return files_removed_;
   }
 
  private:
@@ -160,6 +193,10 @@ class DbEnv {
     }
     snap->gauges.push_back({"upi_bufferpool_cached_bytes", "",
                             static_cast<double>(pool_.cached_bytes())});
+    snap->gauges.push_back({"upi_storage_file_bytes", "",
+                            static_cast<double>(TotalFileBytes())});
+    counter("upi_storage_files_removed_total",
+            static_cast<double>(files_removed()));
   }
 
   // Declared first so every other member (whose instrumentation holds
@@ -172,6 +209,7 @@ class DbEnv {
   std::vector<std::unique_ptr<PageFile>> files_;
   std::vector<std::unique_ptr<LogFile>> log_files_;
   std::unordered_set<std::string> file_names_;
+  uint64_t files_removed_ = 0;
   BufferPool pool_;
 };
 

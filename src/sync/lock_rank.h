@@ -41,12 +41,13 @@
 //        |                              | across I/O (leaders swap the
 //        |                              | double buffer out under it, then
 //        |                              | release before touching the disk)
-//    60  | FracturedUpi fracture list   | held (shared) across query fan-out
-//        |                              | I/O and (exclusive) across flush /
-//        |                              | merge-install I/O — with the WAL
-//        |                              | gate and sync locks, one of the
-//        |                              | only locks that may be held across
-//        |                              | a SimDisk charge
+//    60  | FracturedUpi fracture set    | held (shared) only for a probe's
+//        | + write buffers              | RAM work — never across its page
+//        |                              | reads — and (exclusive) across a
+//        |                              | flush's sequential writes — with
+//        |                              | the WAL gate and sync locks, one
+//        |                              | of the only locks that may be held
+//        |                              | across a SimDisk charge
 //    70  | DbEnv file table             | held while summing PageFile sizes
 //    80  | BufferPool shard latch       | never nests (all I/O outside it)
 //    90  | PageFile metadata            | held while reserving address space
@@ -70,7 +71,7 @@
 //    and each is sanctioned for a specific, documented hold: the gate
 //    spans a logged write's apply I/O and the checkpoint's snapshot scan,
 //    the sync lock spans the log tail's sequential write + commit barrier,
-//    and the fracture list spans query fan-out and merge-install I/O.
+//    and the fracture set's lock spans a flush's writes.
 //    Everything else is a short latch: the buffer pool installs loading
 //    frames and reads outside the latch, PageFile releases its metadata
 //    mutex before charging the device, and the SimDisk hook
@@ -95,7 +96,7 @@ enum class LockRank : uint16_t {
   kShardSummary = 50,        // engine/partition.h: per-shard zone/Bloom fences
   kWalSync = 53,             // wal/wal_writer.h: serialized durable appends
   kWalTail = 56,             // wal/wal_writer.h: LSN + pending frames + parking
-  kFracturedUpi = 60,        // core/fractured_upi.h: fracture list + buffers
+  kFracturedUpi = 60,        // core/fractured_upi.h: fracture set + buffers
   kDbEnvFiles = 70,          // storage/db_env.h: file table
   kBufferPoolShard = 80,     // storage/buffer_pool.h: one shard's frames/LRU
   kPageFile = 90,            // storage/page_file.h: page metadata + free list
@@ -143,9 +144,10 @@ constexpr const char* LockRankName(LockRank rank) {
 ///    (wal/wal_writer.h's contract).
 ///  * kWalSync — serializes durable log appends; held across the log tail's
 ///    simulated sequential write and the commit-barrier sector rewrite.
-///  * kFracturedUpi — queries hold it shared across their fan-out's page
-///    reads, and flushes/merge installs hold it exclusive across their
-///    sequential writes (core/fractured_upi.h's concurrency contract).
+///  * kFracturedUpi — a flush holds it exclusive across its sequential
+///    writes (core/fractured_upi.h's concurrency contract). Queries take it
+///    shared only to capture their snapshot and scan the RAM buffer, and
+///    read pages without it, so no reader waits on the pool under it.
 ///
 /// Every other lock — pointedly including the WAL tail buffer latch
 /// (kWalTail), which group-commit leaders must release before syncing — is

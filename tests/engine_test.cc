@@ -392,9 +392,9 @@ TEST(DatabaseTest, FracturedTableGetsAutomaticMaintenance) {
 }
 
 TEST(DatabaseTest, PlannedQueriesRunConcurrentlyWithWorkerMaintenance) {
-  // Planning reads fracture stats under the table's shared lock, so the
-  // facade's Ptq/Secondary/TopK are safe while background workers flush and
-  // merge (this test runs under TSan in CI).
+  // Planning reads fracture stats from a snapshot of the fracture set, so
+  // the facade's Ptq/Secondary/TopK are safe while background workers flush
+  // and merge (this test runs under TSan and the lock-rank checker in CI).
   DatabaseOptions dbopt;
   dbopt.maintenance.num_workers = 2;
   dbopt.maintenance.policy.flush_max_buffered_tuples = 48;

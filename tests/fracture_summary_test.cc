@@ -97,8 +97,8 @@ TEST(FractureSummaryTest, CanSkipCombinesMaxProbAndPresence) {
 }
 
 TEST(FractureSummaryTest, SummariesSurviveFlushAndMergeInstalls) {
-  // The fracture list and the summary list must stay in lockstep across
-  // flush, partial merge, and full merge.
+  // Every fracture carries its own summary across flush, partial merge, and
+  // full merge.
   datagen::DblpConfig cfg;
   cfg.num_authors = 300;
   cfg.num_institutions = 40;
@@ -112,8 +112,10 @@ TEST(FractureSummaryTest, SummariesSurviveFlushAndMergeInstalls) {
   FracturedUpi table(&env, "t", datagen::DblpGenerator::AuthorSchema(), opt,
                      {datagen::AuthorCols::kCountry});
   ASSERT_TRUE(table.BuildMain(tuples).ok());
-  ASSERT_NE(table.main_summary(), nullptr);
-  EXPECT_EQ(table.main_summary()->tuple_count(), tuples.size());
+  auto set = table.snapshot();
+  ASSERT_TRUE(set->has_main);
+  ASSERT_NE(set->slots[0]->summary(), nullptr);
+  EXPECT_EQ(set->slots[0]->summary()->tuple_count(), tuples.size());
 
   for (int batch = 0; batch < 3; ++batch) {
     for (int i = 0; i < 30; ++i) {
@@ -122,32 +124,34 @@ TEST(FractureSummaryTest, SummariesSurviveFlushAndMergeInstalls) {
     }
     ASSERT_TRUE(table.FlushBuffer().ok());
   }
-  ASSERT_EQ(table.fractures().size(), 3u);
-  ASSERT_EQ(table.fracture_summaries().size(), 3u);
-  for (const auto& s : table.fracture_summaries()) {
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->tuple_count(), 30u);
+  set = table.snapshot();
+  ASSERT_EQ(set->num_deltas(), 3u);
+  for (size_t slot = 1; slot < set->slots.size(); ++slot) {
+    ASSERT_NE(set->slots[slot]->summary(), nullptr);
+    EXPECT_EQ(set->slots[slot]->summary()->tuple_count(), 30u);
   }
 
   ASSERT_TRUE(table.MergeOldestFractures(2).ok());
-  ASSERT_EQ(table.fractures().size(), 2u);
-  ASSERT_EQ(table.fracture_summaries().size(), 2u);
-  EXPECT_EQ(table.fracture_summaries()[0]->tuple_count(), 60u);
+  set = table.snapshot();
+  ASSERT_EQ(set->num_deltas(), 2u);
+  EXPECT_EQ(set->slots[1]->summary()->tuple_count(), 60u);
 
   ASSERT_TRUE(table.MergeAll().ok());
-  ASSERT_EQ(table.fractures().size(), 0u);
-  ASSERT_EQ(table.fracture_summaries().size(), 0u);
-  ASSERT_NE(table.main_summary(), nullptr);
-  EXPECT_EQ(table.main_summary()->tuple_count(), tuples.size() + 90u);
+  set = table.snapshot();
+  ASSERT_EQ(set->slots.size(), 1u);
+  ASSERT_TRUE(set->has_main);
+  const FractureSummary* main_summary = set->slots[0]->summary();
+  ASSERT_NE(main_summary, nullptr);
+  EXPECT_EQ(main_summary->tuple_count(), tuples.size() + 90u);
   // The merged summary still fences: a key far outside the value space.
-  EXPECT_FALSE(table.main_summary()->MayContainKey(
+  EXPECT_FALSE(main_summary->MayContainKey(
       datagen::AuthorCols::kInstitution, "~~nowhere~~"));
 }
 
 TEST(FractureSummaryTest, ConcurrentQueriesDuringMaintenanceSmoke) {
-  // Race coverage (TSan job): readers prune off summary snapshots while a
-  // maintenance thread flushes and merges — the summary lists swap under
-  // the exclusive lock together with the fracture lists.
+  // Race coverage (TSan and sync-checks jobs): readers prune and read off
+  // their own snapshots while a maintenance thread flushes and merges; no
+  // reader holds the table lock while it waits on the buffer pool.
   datagen::DblpConfig cfg;
   cfg.num_authors = 400;
   cfg.num_institutions = 30;
@@ -187,7 +191,9 @@ TEST(FractureSummaryTest, ConcurrentQueriesDuringMaintenanceSmoke) {
   ASSERT_TRUE(table.MergeAll().ok());
   stop.store(true);
   for (auto& r : readers) r.join();
-  EXPECT_EQ(table.fracture_summaries().size(), table.fractures().size());
+  for (const auto& f : table.snapshot()->slots) {
+    EXPECT_NE(f->summary(), nullptr);
+  }
 }
 
 }  // namespace

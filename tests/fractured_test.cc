@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
+#include <thread>
 
 #include "core/cost_model.h"
 #include "core/fractured_upi.h"
@@ -360,8 +366,9 @@ TEST(FracturedUpiTest, AdaptiveTuningRetunesPerFracture) {
     ASSERT_TRUE(fx.table->Insert(fx.gen->MakeAuthor(id)).ok());
   }
   ASSERT_TRUE(fx.table->FlushBuffer().ok());
-  ASSERT_EQ(fx.table->fractures().size(), 1u);
-  double frac_cutoff = fx.table->fractures()[0]->options().cutoff;
+  const auto set = fx.table->snapshot();
+  ASSERT_EQ(set->num_deltas(), 1u);
+  double frac_cutoff = set->upi(1).options().cutoff;
   EXPECT_GT(frac_cutoff, main_cutoff);
   EXPECT_NEAR(fx.table->main()->options().cutoff, main_cutoff, 1e-12)
       << "existing fractures keep their own parameters";
@@ -376,6 +383,241 @@ TEST(FracturedUpiTest, AdaptiveTuningRetunesPerFracture) {
   std::vector<PtqMatch> out;
   ASSERT_TRUE(QueryPtq(*fx.table, v, 0.02, &out).ok());
   EXPECT_GE(out.size(), fx.Oracle(v, 0.02).size());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot reads and reclamation
+// ---------------------------------------------------------------------------
+
+/// Bytes of every page file the table's current fractures own.
+uint64_t LiveFractureBytes(const FracturedUpi& table) {
+  uint64_t total = 0;
+  for (const auto& f : table.snapshot()->slots) {
+    for (const storage::PageFile* file : f->upi().files()) {
+      total += file->size_bytes();
+    }
+  }
+  return total;
+}
+
+std::vector<std::string> FractureFileNames(const FracturedUpi& table) {
+  std::vector<std::string> names;
+  for (const auto& f : table.snapshot()->slots) {
+    for (const storage::PageFile* file : f->upi().files()) {
+      names.push_back(file->name());
+    }
+  }
+  return names;
+}
+
+/// Pulls up to `limit` rows off `c` into `rows`.
+void Drain(FracturedPtqCursor* c, size_t limit, std::map<TupleId, double>* rows) {
+  PtqMatch m;
+  for (size_t n = 0; n < limit && c->Next(&m); ++n) {
+    EXPECT_TRUE(rows->emplace(m.id, m.confidence).second) << "duplicate " << m.id;
+  }
+  EXPECT_TRUE(c->status().ok());
+}
+
+TEST(FracturedSnapshotTest, OpenCursorBlocksNoWriterAndKeepsItsSnapshot) {
+  Fx fx;
+  // Flushed deltas, flushed and buffered deletes, and buffered inserts, so
+  // the snapshot spans every kind of table state.
+  for (int batch = 0; batch < 3; ++batch) {
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(fx.table->Insert(fx.gen->MakeAuthor(700000 + batch * 100 + i)).ok());
+    }
+    ASSERT_TRUE(fx.table->Delete(static_cast<TupleId>(batch * 7 + 1)).ok());
+    ASSERT_TRUE(fx.table->FlushBuffer().ok());
+  }
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(fx.table->Insert(fx.gen->MakeAuthor(710000 + i)).ok());
+  }
+  ASSERT_TRUE(fx.table->Delete(123).ok());
+
+  const std::string v = fx.gen->PopularInstitution();
+  std::map<TupleId, double> reference;
+  {
+    FracturedPtqCursor c = fx.table->OpenPtqCursor(v, 0.05);
+    Drain(&c, SIZE_MAX, &reference);
+  }
+  ASSERT_GE(reference.size(), 10u);
+  const std::vector<std::string> old_files = FractureFileNames(*fx.table);
+
+  std::optional<FracturedPtqCursor> c = fx.table->OpenPtqCursor(v, 0.05);
+  std::map<TupleId, double> got;
+  Drain(&*c, reference.size() / 2, &got);
+  TupleId victim = 0;  // a row the cursor has yet to return
+  for (const auto& [id, conf] : reference) {
+    if (!got.contains(id)) victim = id;
+  }
+
+  // Another thread writes, flushes and merges while the cursor stays open.
+  FracturedUpi* t = fx.table.get();
+  const Tuple fresh = fx.gen->MakeAuthor(720000);
+  std::vector<Status> results;
+  std::promise<void> writes_done;
+  std::thread writer([&] {
+    results.push_back(t->Insert(fresh));
+    results.push_back(t->Delete(victim));
+    results.push_back(t->FlushBuffer());
+    results.push_back(t->MergeOldestFractures(2));
+    results.push_back(t->MergeAll());
+    writes_done.set_value();
+  });
+  const bool finished = writes_done.get_future().wait_for(
+                            std::chrono::seconds(10)) == std::future_status::ready;
+  if (!finished) c.reset();  // unblock a writer stuck behind the cursor
+  writer.join();
+  ASSERT_TRUE(finished) << "a write waited for the open cursor";
+  for (const Status& st : results) EXPECT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(fx.table->num_fractures(), 1u);
+
+  // Every fracture the cursor reads was merged away, yet its files stay
+  // until the cursor is gone.
+  for (const std::string& name : old_files) {
+    EXPECT_TRUE(fx.env.HasFile(name)) << name;
+  }
+  Drain(&*c, SIZE_MAX, &got);
+  EXPECT_EQ(got, reference) << "the cursor reads the table as it was at open";
+  c.reset();
+  for (const std::string& name : old_files) {
+    EXPECT_FALSE(fx.env.HasFile(name)) << name;
+  }
+  EXPECT_EQ(fx.env.TotalFileBytes(), LiveFractureBytes(*fx.table));
+}
+
+TEST(FracturedSnapshotTest, MergesFreeReplacedFracturesAndDeleteSets) {
+  Fx fx;
+  const uint64_t page = fx.table->options().page_size;
+  const std::string v = fx.gen->PopularInstitution();
+  // Three flushes, each with one delete: three deltas, three delete sets.
+  std::vector<Tuple> extras;
+  for (int batch = 0; batch < 3; ++batch) {
+    for (int i = 0; i < 40; ++i) {
+      extras.push_back(fx.gen->MakeAuthor(800000 + batch * 100 + i));
+      ASSERT_TRUE(fx.table->Insert(extras.back()).ok());
+    }
+    ASSERT_TRUE(fx.table->Delete(static_cast<TupleId>(batch * 5 + 2)).ok());
+    ASSERT_TRUE(fx.table->FlushBuffer().ok());
+  }
+  EXPECT_EQ(fx.env.TotalFileBytes(), LiveFractureBytes(*fx.table) + 3 * page);
+  EXPECT_EQ(fx.env.files_removed(), 0u);
+  // Every cached frame belongs to a live fracture file (delete sets are
+  // written past the pool).
+  auto cached_in_live_files = [&] {
+    uint64_t total = 0;
+    for (const auto& f : fx.table->snapshot()->slots) {
+      for (storage::PageFile* file : f->upi().files()) {
+        total += fx.env.pool()->CachedBytesOf(file);
+      }
+    }
+    return total;
+  };
+
+  // A partial merge frees the two deltas it replaced, frames first, and
+  // keeps every delete set.
+  fx.ExpectQueryMatches(v, 0.05, fx.Oracle(v, 0.05, 1, {2, 7, 12}, extras));
+  ASSERT_TRUE(fx.table->MergeOldestFractures(2).ok());
+  EXPECT_GT(fx.env.files_removed(), 0u);
+  EXPECT_EQ(fx.env.TotalFileBytes(), LiveFractureBytes(*fx.table) + 3 * page);
+  EXPECT_EQ(fx.env.pool()->cached_bytes(), cached_in_live_files());
+
+  // A full merge frees every fracture it replaced and every delete set
+  // flushed before it.
+  fx.ExpectQueryMatches(v, 0.05, fx.Oracle(v, 0.05, 1, {2, 7, 12}, extras));
+  const uint64_t cached_before = fx.env.pool()->cached_bytes();
+  ASSERT_TRUE(fx.table->MergeAll().ok());
+  EXPECT_EQ(fx.env.TotalFileBytes(), LiveFractureBytes(*fx.table));
+  EXPECT_EQ(fx.env.pool()->cached_bytes(), cached_in_live_files());
+  EXPECT_LT(fx.env.pool()->cached_bytes(), cached_before);
+  fx.ExpectQueryMatches(v, 0.05, fx.Oracle(v, 0.05, 1, {2, 7, 12}, extras));
+}
+
+TEST(FracturedSnapshotTest, ReadersRaceFlushesMergesAndReclamation) {
+  // Race and lifetime coverage (TSan, ASan, lock-rank checker): PTQ,
+  // secondary and top-k readers run while flushes and merges install and
+  // free the fractures the readers may still hold. The base population is
+  // never deleted, so every probe must return all of its rows, each once.
+  Fx fx(400, 21);
+  const std::string v = fx.gen->PopularInstitution();
+  const std::string country = fx.gen->MidCountry();
+  const int country_col = datagen::AuthorCols::kCountry;
+  const std::map<TupleId, double> base_ptq = fx.Oracle(v, 0.2);
+  const std::map<TupleId, double> base_sec = fx.Oracle(country, 0.2, country_col);
+  ASSERT_FALSE(base_ptq.empty());
+  ASSERT_FALSE(base_sec.empty());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  auto covers = [&](const std::vector<PtqMatch>& rows,
+                    const std::map<TupleId, double>& base) {
+    std::set<TupleId> ids;
+    for (const PtqMatch& m : rows) {
+      if (!ids.insert(m.id).second) return false;
+    }
+    for (const auto& [id, conf] : base) {
+      if (!ids.contains(id)) return false;
+    }
+    return true;
+  };
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {  // PTQ cursors, each drained in two halves
+    while (!stop.load()) {
+      FracturedPtqCursor c = fx.table->OpenPtqCursor(v, 0.2);
+      std::vector<PtqMatch> rows;
+      PtqMatch m;
+      for (int i = 0; i < 10 && c.Next(&m); ++i) rows.push_back(m);
+      std::this_thread::yield();
+      while (c.Next(&m)) rows.push_back(m);
+      if (!c.status().ok() || !covers(rows, base_ptq)) ++failures;
+    }
+  });
+  readers.emplace_back([&] {  // secondary probes
+    while (!stop.load()) {
+      std::vector<PtqMatch> rows;
+      Status st = fx.table->QueryBySecondary(country_col, country, 0.2,
+                                             SecondaryAccessMode::kTailored,
+                                             &rows);
+      if (!st.ok() || !covers(rows, base_sec)) ++failures;
+    }
+  });
+  readers.emplace_back([&] {  // top-k probes and planner estimates
+    while (!stop.load()) {
+      std::vector<PtqMatch> rows;
+      Status st = fx.table->QueryTopK(v, 5, &rows);
+      if (!st.ok() || rows.size() != 5 || !covers(rows, {})) ++failures;
+      (void)fx.table->EstimatePrune(-1, v, 0.2);
+      (void)fx.table->EstimateSelectivity(v, 0.2);
+    }
+  });
+
+  TupleId next_id = 900000;
+  std::vector<TupleId> inserted;
+  for (int round = 0; round < 24; ++round) {
+    for (int i = 0; i < 30; ++i) {
+      inserted.push_back(next_id);
+      ASSERT_TRUE(fx.table->Insert(fx.gen->MakeAuthor(next_id++)).ok());
+    }
+    for (int i = 0; round > 0 && i < 3; ++i) {  // flushed in the last round
+      ASSERT_TRUE(fx.table->Delete(inserted[inserted.size() - 60 + i * 7]).ok());
+    }
+    ASSERT_TRUE(fx.table->FlushBuffer().ok());
+    if (round % 3 == 2) {
+      ASSERT_TRUE(fx.table->MergeOldestFractures(2).ok());
+    }
+    if (round % 5 == 4) {
+      ASSERT_TRUE(fx.table->MergeAll().ok());
+    }
+  }
+  stop.store(true);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(fx.env.files_removed(), 0u);
+
+  ASSERT_TRUE(fx.table->MergeAll().ok());
+  EXPECT_EQ(fx.env.TotalFileBytes(), LiveFractureBytes(*fx.table));
+  EXPECT_EQ(fx.table->num_live_tuples(), 400u + 24 * 30 - 23 * 3);
 }
 
 }  // namespace

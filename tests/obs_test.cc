@@ -200,6 +200,12 @@ TEST(ObsEngineTest, DatabaseExportsEngineMetricFamilies) {
   // The cold probe validated and published each B-tree page it read.
   EXPECT_GT(snap.SumOf("upi_bufferpool_decodes_total"), 0.0);
   EXPECT_NE(snap.Find("upi_bufferpool_cached_bytes"), nullptr);
+  // Storage footprint: the live page files, and how many merges freed.
+  ASSERT_NE(snap.Find("upi_storage_file_bytes"), nullptr);
+  EXPECT_EQ(snap.Find("upi_storage_file_bytes")->value,
+            static_cast<double>(fx.db.env()->TotalFileBytes()));
+  ASSERT_NE(snap.Find("upi_storage_files_removed_total"), nullptr);
+  EXPECT_EQ(snap.Find("upi_storage_files_removed_total")->value, 0.0);
   // The query histogram saw the execution.
   bool found = false;
   for (const HistogramSample& h : snap.histograms) {

@@ -240,9 +240,6 @@ TEST(PruningPinnedTest, HighThresholdPtqProbesOnlyMainAndPaysMainOnlyPages) {
   EXPECT_EQ(pruned.file_opens, reference.file_opens);
 
   // And the lazy cursor pins the same: draining it reads main-only pages.
-  // Scoped: the cursor holds the table's shared lock for its lifetime, so it
-  // must be gone before this thread queries the table again (the lock-rank
-  // checker aborts on the re-entrant shared acquisition otherwise).
   {
     env.ColdCache();
     sim::StatsWindow w(env.disk());

@@ -692,5 +692,60 @@ TEST(DbEnvTest, DuplicateFileNameIsRejected) {
   EXPECT_DEATH(env.CreateFile("t.heap", 4096), "already exists");
 }
 
+TEST(BufferPoolTest, DiscardFileDropsEveryFrameOfThatFileOnly) {
+  sim::SimDisk disk;
+  PageFile doomed(&disk, "doomed", 4096);
+  PageFile kept(&disk, "kept", 4096);
+  BufferPool pool(1 << 20);
+  for (int i = 0; i < 6; ++i) {
+    PageId a = doomed.Allocate();
+    pool.Fetch(&doomed, a, /*create=*/true);  // dirty and never written
+    pool.Unpin(&doomed, a);
+    PageId b = kept.Allocate();
+    pool.Fetch(&kept, b, /*create=*/true);
+    pool.Unpin(&kept, b);
+  }
+  const uint64_t writes_before = disk.stats().writes;
+  pool.DiscardFile(&doomed);
+  EXPECT_EQ(pool.cached_bytes(), 6u * 4096);
+  EXPECT_EQ(disk.stats().writes, writes_before) << "dirty frames dropped, not written";
+  pool.FlushAll();
+  EXPECT_EQ(disk.stats().writes - writes_before, 6u) << "only the kept file's pages";
+}
+
+TEST(DbEnvTest, RemoveFileFreesFramesAndBytesButKeepsTheName) {
+  DbEnv env;
+  PageFile* a = env.CreateFile("t.a", 4096);
+  PageFile* b = env.CreateFile("t.b", 4096);
+  Pager pa = env.MakePager(a);
+  for (int i = 0; i < 4; ++i) {
+    PageId id;
+    PageRef ref = pa.New(&id);
+    ref.MarkDirty();
+  }
+  b->Write(b->Allocate(), "x");
+  env.pool()->FlushAll();
+  ASSERT_EQ(env.TotalFileBytes(), 5u * 4096);
+  ASSERT_EQ(env.pool()->cached_bytes(), 4u * 4096);
+
+  env.RemoveFile(a);
+  EXPECT_FALSE(env.HasFile("t.a"));
+  EXPECT_TRUE(env.HasFile("t.b"));
+  EXPECT_EQ(env.files_removed(), 1u);
+  EXPECT_EQ(env.TotalFileBytes(), 4096u);
+  EXPECT_EQ(env.pool()->cached_bytes(), 0u);
+  // The name stays reserved, and address space is not handed back: a new
+  // file starts past every page the removed one occupied.
+  EXPECT_TRUE(env.TryCreateFile("t.a", 4096).status().IsAlreadyExists());
+  PageFile* c = env.CreateFile("t.c", 4096);
+  EXPECT_GT(c->AddressOf(c->Allocate()), b->AddressOf(0));
+
+  obs::MetricsSnapshot snap = env.metrics()->Snapshot();
+  ASSERT_NE(snap.Find("upi_storage_file_bytes"), nullptr);
+  EXPECT_EQ(snap.Find("upi_storage_file_bytes")->value, 2.0 * 4096);
+  ASSERT_NE(snap.Find("upi_storage_files_removed_total"), nullptr);
+  EXPECT_EQ(snap.Find("upi_storage_files_removed_total")->value, 1.0);
+}
+
 }  // namespace
 }  // namespace upi::storage
